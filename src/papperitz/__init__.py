@@ -11,6 +11,7 @@ from .closed_form import (
     eval_basis,
     eval_solution,
     fit_ivp,
+    solution_jets,
     wronskian,
 )
 from .hypergeom import (
@@ -19,9 +20,11 @@ from .hypergeom import (
     SeriesControl,
     gauss_2f1,
     gauss_2f1_derivative,
+    gauss_2f1_jets,
     gauss_2f1_second_derivative,
     raw_series,
     select_strategy,
+    series_jets,
 )
 from .mobius import d2t_dz2, dt_dz, principal_power, t_to_z, z_to_t
 from .oracle import (
@@ -38,9 +41,10 @@ from .oracle import (
 __all__ = [
     "BasisMember", "DegeneracyClass", "DerivedParams", "EquationParams",
     "Jet2", "derive_params", "eval_basis", "eval_solution", "fit_ivp",
-    "wronskian", "EvalStrategy", "HypParams", "SeriesControl", "gauss_2f1",
-    "gauss_2f1_derivative", "gauss_2f1_second_derivative", "raw_series",
-    "select_strategy", "d2t_dz2", "dt_dz", "principal_power", "t_to_z",
+    "solution_jets", "wronskian", "EvalStrategy", "HypParams",
+    "SeriesControl", "gauss_2f1", "gauss_2f1_derivative", "gauss_2f1_jets",
+    "gauss_2f1_second_derivative", "raw_series", "select_strategy",
+    "series_jets", "d2t_dz2", "dt_dz", "principal_power", "t_to_z",
     "z_to_t", "IntegrationControl", "PathSpec", "VerifyReport",
     "compare_closed_numeric", "finite_difference_jet", "integrate_ivp",
     "residual_t", "residual_z",

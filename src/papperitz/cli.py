@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 usage/parse error, 2 degenerate parameters,
-3 unreachable/excluded evaluation point or path, 4 verification failure.
+3 unreachable/excluded evaluation point or path, or a series or an
+integration that exhausts its term or step budget, 4 verification failure.
 """
 
 import argparse
@@ -14,14 +15,17 @@ from typing import List, Optional
 import numpy as np
 
 from . import closed_form, selftest
-from .closed_form import DegeneracyClass, EquationParams, derive_params, eval_solution
+from .closed_form import DegeneracyClass, EquationParams, derive_params, solution_jets
 from .errors import (
     DegenerateBasis,
     DegenerateWronskian,
     EvaluationUnreachable,
+    NoConvergence,
     OnBranchCut,
     PathTooCloseToSingularity,
     PoleAtMinusI,
+    StepLimitExceeded,
+    ZeroBaseNonpositiveExponent,
 )
 from .oracle import (
     IntegrationControl,
@@ -40,6 +44,10 @@ EXIT_VERIFY_FAILED = 4
 
 CSV_HEADER = ["z_re", "z_im", "y_re", "y_im", "dy_re", "dy_im", "residual_abs"]
 
+#: Errors that make one evaluation point unusable: exit 3.
+POINT_ERRORS = (EvaluationUnreachable, OnBranchCut, PoleAtMinusI,
+                ZeroBaseNonpositiveExponent)
+
 
 class UsageError(Exception):
     pass
@@ -50,12 +58,16 @@ def parse_complex(text: str) -> complex:
     parts = text.split(",")
     if len(parts) != 2:
         raise UsageError(f"complex literal must be RE,IM: {text!r}")
+    return _finite_complex(parts[0], parts[1], text)
+
+
+def _finite_complex(re_text: str, im_text: str, literal: str) -> complex:
     try:
-        re, im = float(parts[0]), float(parts[1])
+        re, im = float(re_text), float(im_text)
     except ValueError as exc:
-        raise UsageError(f"bad complex literal {text!r}: {exc}") from exc
+        raise UsageError(f"bad complex literal {literal!r}: {exc}") from exc
     if not (math.isfinite(re) and math.isfinite(im)):
-        raise UsageError(f"complex literal must be finite: {text!r}")
+        raise UsageError(f"complex literal must be finite: {literal!r}")
     return complex(re, im)
 
 
@@ -82,23 +94,19 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-\.?\d")
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="papperitz",
-                     description="Closed-form solutions of "
-                                 "(1+z^2)^2 y'' + 2az(1+z^2) y' + 4(b+cz) y = 0")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_abc(sp):
+    sp.add_argument("--a", required=True, help="coefficient a as RE,IM")
+    sp.add_argument("--b", required=True, help="coefficient b as RE,IM")
+    sp.add_argument("--c", required=True, help="coefficient c as RE,IM")
 
-    def add_abc(sp):
-        sp.add_argument("--a", required=True, help="coefficient a as RE,IM")
-        sp.add_argument("--b", required=True, help="coefficient b as RE,IM")
-        sp.add_argument("--c", required=True, help="coefficient c as RE,IM")
 
-    sp = sub.add_parser("params", help="derive hypergeometric parameters")
-    add_abc(sp)
+def _params_arguments(sp):
+    _add_abc(sp)
     sp.add_argument("--json", action="store_true", dest="as_json")
 
-    sp = sub.add_parser("eval", help="evaluate the closed-form solution")
-    add_abc(sp)
+
+def _eval_arguments(sp):
+    _add_abc(sp)
     sp.add_argument("--c1", default="1,0", help="coefficient of the first basis member")
     sp.add_argument("--c2", default="0,0", help="coefficient of the second basis member")
     sp.add_argument("--z", action="append", default=None,
@@ -107,23 +115,49 @@ def _build_parser() -> _Parser:
                     help="CSV file with z_re,z_im columns")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    sp = sub.add_parser("verify", help="check closed form against the integrator")
-    add_abc(sp)
+
+def _verify_arguments(sp):
+    _add_abc(sp)
     sp.add_argument("--samples", type=int, default=20)
     sp.add_argument("--tol", type=float, default=1e-8)
     sp.add_argument("--seed", type=int, default=0)
 
-    sp = sub.add_parser("integrate", help="integrate the ODE along a path")
-    add_abc(sp)
+
+def _integrate_arguments(sp):
+    _add_abc(sp)
     sp.add_argument("--path", required=True, help='waypoints "RE,IM;RE,IM;..."')
     sp.add_argument("--y0", required=True, help="initial value RE,IM")
     sp.add_argument("--dy0", required=True, help="initial derivative RE,IM")
     sp.add_argument("--out", choices=("csv", "json"), default="csv")
 
-    sp = sub.add_parser("selftest", help="run the built-in invariant suites")
+
+def _selftest_arguments(sp):
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--quick", action="store_true")
 
+
+#: Subcommands: name, help line and the function adding their arguments.
+_COMMANDS = (
+    ("params", "derive hypergeometric parameters", _params_arguments),
+    ("eval", "evaluate the closed-form solution", _eval_arguments),
+    ("verify", "check closed form against the integrator", _verify_arguments),
+    ("integrate", "integrate the ODE along a path", _integrate_arguments),
+    ("selftest", "run the built-in invariant suites", _selftest_arguments),
+)
+
+
+def _build_parser(command: Optional[str] = None) -> _Parser:
+    """The parser, with the arguments of the subcommand `command` only:
+    adding those of all five costs more than a one-point evaluation, and
+    a request parses one subcommand's."""
+    parser = _Parser(prog="papperitz",
+                     description="Closed-form solutions of "
+                                 "(1+z^2)^2 y'' + 2az(1+z^2) y' + 4(b+cz) y = 0")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_line, add_arguments in _COMMANDS:
+        sp = sub.add_parser(name, help=help_line)
+        if name == command:
+            add_arguments(sp)
     return parser
 
 
@@ -159,14 +193,35 @@ def cmd_params(args) -> int:
     return EXIT_OK
 
 
+def _read_points(path: str) -> List[complex]:
+    """The z_re,z_im rows of a CSV file; every value must parse as a
+    finite number, as for --z."""
+    points: List[complex] = []
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            if not {"z_re", "z_im"} <= set(reader.fieldnames or ()):
+                raise UsageError(f"points file {path!r} needs z_re and z_im columns")
+            for row in reader:
+                re, im = row["z_re"], row["z_im"]
+                where = f"points file {path!r}, line {reader.line_num}"
+                if re is None or im is None:
+                    raise UsageError(f"{where}: missing z_re or z_im value")
+                try:
+                    points.append(_finite_complex(re, im, f"{re},{im}"))
+                except UsageError as exc:
+                    raise UsageError(f"{where}: {exc}") from exc
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise UsageError(f"cannot read points file {path!r}: {exc}") from exc
+    return points
+
+
 def _eval_points(args) -> List[complex]:
     points: List[complex] = []
     if args.z:
         points.extend(parse_complex(z) for z in args.z)
     if args.points:
-        with open(args.points, newline="") as fh:
-            for row in csv.DictReader(fh):
-                points.append(complex(float(row["z_re"]), float(row["z_im"])))
+        points.extend(_read_points(args.points))
     if not points:
         raise UsageError("no evaluation points given (use --z or --points)")
     return points
@@ -178,22 +233,23 @@ def cmd_eval(args) -> int:
     c1 = parse_complex(args.c1)
     c2 = parse_complex(args.c2)
     d = derive_params(p)
-    rows = []
-    for z in _eval_points(args):
-        try:
-            jet = eval_solution(d, p, c1, c2, z)
-        except DegenerateBasis as exc:
-            print(f"degenerate basis at z={z}: {exc}", file=sys.stderr)
+    points = _eval_points(args)
+    jet, fault = solution_jets(d, p, c1, c2, points)
+    if fault is not None:
+        i, exc = fault
+        if isinstance(exc, DegenerateBasis):
+            print(f"degenerate basis at z={points[i]}: {exc}", file=sys.stderr)
             return EXIT_DEGENERATE
-        except (EvaluationUnreachable, OnBranchCut, PoleAtMinusI) as exc:
-            print(f"point z={z} not evaluable: {exc}", file=sys.stderr)
+        if isinstance(exc, POINT_ERRORS):
+            print(f"point z={points[i]} not evaluable: {exc}", file=sys.stderr)
             return EXIT_UNREACHABLE
-        rows.append({
-            "z_re": z.real, "z_im": z.imag,
-            "y_re": jet.y.real, "y_im": jet.y.imag,
-            "dy_re": jet.dy.real, "dy_im": jet.dy.imag,
-            "residual_abs": abs(residual_z(p, jet, z)),
-        })
+        raise exc
+    z = np.array(points)
+    columns = (z.real, z.imag, jet.y.real, jet.y.imag, jet.dy.real, jet.dy.imag,
+               np.abs(residual_z(p, jet, z)))
+    # tolist() gives Python floats, whose repr the CSV rows rely on
+    rows = [dict(zip(CSV_HEADER, values))
+            for values in zip(*(c.tolist() for c in columns))]
     if args.format == "json":
         json.dump({"params": _params_dict(p), "derived": _derived_dict(d),
                    "rows": rows}, sys.stdout)
@@ -207,6 +263,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.samples < 0:
+        raise UsageError(f"--samples must be nonnegative, got {args.samples}")
     p = EquationParams(parse_complex(args.a), parse_complex(args.b),
                        parse_complex(args.c))
     d = derive_params(p)
@@ -271,8 +329,11 @@ def cmd_selftest(args) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the top-level parser takes no option values: the first word that is
+    # not an option is the subcommand
+    command = next((word for word in argv if not word.startswith("-")), None)
+    args = _build_parser(command).parse_args(argv)
     handlers = {
         "params": cmd_params,
         "eval": cmd_eval,
@@ -288,6 +349,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except DegenerateWronskian as exc:
         print(f"papperitz: degenerate: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
+    except (NoConvergence, StepLimitExceeded) as exc:
+        print(f"papperitz: error: {exc}", file=sys.stderr)
+        return EXIT_UNREACHABLE
 
 
 if __name__ == "__main__":

@@ -10,9 +10,16 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DegenerateBasis, DegenerateWronskian, InvalidGamma
-from .hypergeom import HypParams, SeriesControl, gauss_2f1_jet
-from .mobius import d2t_dz2, dt_dz, principal_power, z_to_t
+import numpy as np
+
+from .errors import (
+    DegenerateBasis,
+    DegenerateWronskian,
+    InvalidGamma,
+    ZeroBaseNonpositiveExponent,
+)
+from .hypergeom import HypParams, SeriesControl, earliest, evaluable, gauss_2f1_jets
+from .mobius import any_of, forward_jets, principal_power
 
 #: |delta| below this counts as a repeated Frobenius exponent.
 DEGENERACY_TOL = 1e-10
@@ -47,7 +54,8 @@ class BasisMember(Enum):
 
 @dataclass(frozen=True)
 class Jet2:
-    """Value with first and second derivatives, tagged by coordinate."""
+    """Value with first and second derivatives, tagged by coordinate; the
+    fields are numbers, or arrays over points for the array functions."""
 
     y: complex
     dy: complex
@@ -137,53 +145,118 @@ def basis_exponent(d: DerivedParams, which: BasisMember) -> complex:
     return d.lam if which is BasisMember.FIRST else d.lam2
 
 
+def _member_t_jets(d: DerivedParams, which: BasisMember, t: np.ndarray,
+                   ctrl: SeriesControl):
+    """t-jets of t^e * F(params; t) for one basis member at every t, as a
+    (3, n) array, and the fault of the first point that fails."""
+    hp = basis_hyp_params(d, which)
+    e = basis_exponent(d, which)
+    f, fault = gauss_2f1_jets(hp, t, ctrl)
+    if e == 0 or (fault is not None and fault[0] == 0):
+        return f, fault
+    zero = t == 0
+    any_zero = any_of(zero)
+    base = np.where(zero, 1, t) if any_zero else t
+    p0 = principal_power(base, e)
+    p1 = p0 / base
+    p2 = p1 / base
+    if any_zero:
+        # t^(e-1) and t^(e-2) at t = 0 follow the rule of principal_power
+        p0[zero] = p1[zero] = p2[zero] = 0
+        try:
+            for k in range(3):
+                principal_power(0j, e - k)
+        except ZeroBaseNonpositiveExponent as exc:
+            fault = earliest(fault, (int(zero.argmax()), exc))
+    return np.array([
+        p0 * f[0],
+        e * p1 * f[0] + p0 * f[1],
+        e * (e - 1) * p2 * f[0] + 2 * e * p1 * f[1] + p0 * f[2],
+    ]), fault
+
+
+def _z_jets(d: DerivedParams, members, z, ctrl: SeriesControl):
+    """Sum of coefficient * member over (member, coefficient) pairs, a
+    coefficient None standing for 1, as a (3, n) array of z-jets at every z
+    of a 1-D array, and the fault of the first point that fails.
+
+    Faults are keyed by (point, stage), stage 0 being the map's pole and
+    stage k the k-th member, the order in which a point-by-point evaluation
+    meets them.  The values of a failed array are not to be used, so after
+    a fault only the points before it are evaluated."""
+    z = np.asarray(z, dtype=complex)
+    out = np.zeros((3, len(z)), dtype=complex)
+    if not members:
+        return out, None
+    t, tp, tpp, fault = forward_jets(z)
+    faults = [] if fault is None else [((fault[0], 0), fault[1])]
+    count = len(z)
+    for stage, (which, coef) in enumerate(members, 1):
+        first = earliest(*faults)
+        if first is not None:
+            count = first[0][0]
+            if not count:
+                break
+            t, tp, tpp = t[:count], tp[:count], tpp[:count]
+        try:
+            jt, fault = _member_t_jets(d, which, t, ctrl)
+        except DegenerateBasis as exc:
+            faults.append(((0, stage), exc))
+            continue
+        if fault is not None:
+            faults.append(((fault[0], stage), fault[1]))
+        jz = np.array([jt[0], jt[1] * tp, jt[2] * tp * tp + jt[1] * tpp])
+        if coef is not None:
+            jz *= coef
+        out[:, :count] += jz
+    return out, earliest(*faults)
+
+
+def _first_point(jets: np.ndarray, fault, coord: str = "z") -> Jet2:
+    if fault is not None:
+        raise fault[1]
+    return Jet2(*jets[:, 0].tolist(), coord=coord)
+
+
 def eval_basis_t_jet(d: DerivedParams, which: BasisMember, t: complex,
                      ctrl: SeriesControl = SeriesControl()) -> Jet2:
     """t-jet of t^e * F(params; t) for one basis member."""
-    hp = basis_hyp_params(d, which)
-    e = basis_exponent(d, which)
-    f0, f1, f2 = gauss_2f1_jet(hp, t, ctrl)
-    if e == 0:
-        return Jet2(f0, f1, f2, coord="t")
-    p0 = principal_power(t, e)
-    p1 = principal_power(t, e - 1)
-    p2 = principal_power(t, e - 2)
-    y = p0 * f0
-    dy = e * p1 * f0 + p0 * f1
-    d2y = e * (e - 1) * p2 * f0 + 2 * e * p1 * f1 + p0 * f2
-    return Jet2(y, dy, d2y, coord="t")
+    return _first_point(*_member_t_jets(d, which, np.array([complex(t)]), ctrl),
+                        coord="t")
 
 
 def eval_basis(d: DerivedParams, p: EquationParams, which: BasisMember,
                z: complex, ctrl: SeriesControl = SeriesControl()) -> Jet2:
     """z-jet of one basis member, by the chain rule through t(z)."""
-    t = z_to_t(z)
-    jt = eval_basis_t_jet(d, which, t, ctrl)
-    tp = dt_dz(z)
-    tpp = d2t_dz2(z)
-    return Jet2(jt.y, jt.dy * tp, jt.d2y * tp * tp + jt.dy * tpp, coord="z")
+    return _first_point(*_z_jets(d, [(which, None)], [complex(z)], ctrl))
+
+
+def solution_jets(d: DerivedParams, p: EquationParams,
+                  c1: complex, c2: complex, z,
+                  ctrl: SeriesControl = SeriesControl()):
+    """Jets of c1 * (first member) + c2 * (second member) at every z of a
+    1-D array: a Jet2 of arrays, and the first point that fails, as
+    (index, exception), or None.  The points fail in the order a
+    point-by-point evaluation would meet them, and the values of a failed
+    array are not to be used.
+
+    A coefficient that is exactly zero skips its member, so a degenerate
+    member is tolerated when it does not contribute.
+    """
+    members = [(which, c) for which, c in ((BasisMember.FIRST, c1),
+                                           (BasisMember.SECOND, c2)) if c != 0]
+    jets, fault = _z_jets(d, members, z, ctrl)
+    if fault is not None:
+        fault = (fault[0][0], fault[1])
+    return Jet2(*jets, coord="z"), fault
 
 
 def eval_solution(d: DerivedParams, p: EquationParams,
                   c1: complex, c2: complex, z: complex,
                   ctrl: SeriesControl = SeriesControl()) -> Jet2:
-    """Jet of c1 * (first member) + c2 * (second member).
-
-    A coefficient that is exactly zero skips its member, so a degenerate
-    member is tolerated when it does not contribute.
-    """
-    y = dy = d2y = 0j
-    if c1 != 0:
-        j1 = eval_basis(d, p, BasisMember.FIRST, z, ctrl)
-        y += c1 * j1.y
-        dy += c1 * j1.dy
-        d2y += c1 * j1.d2y
-    if c2 != 0:
-        j2 = eval_basis(d, p, BasisMember.SECOND, z, ctrl)
-        y += c2 * j2.y
-        dy += c2 * j2.dy
-        d2y += c2 * j2.d2y
-    return Jet2(y, dy, d2y, coord="z")
+    """Jet of c1 * (first member) + c2 * (second member) at one z."""
+    jet, fault = solution_jets(d, p, c1, c2, [complex(z)], ctrl)
+    return _first_point(np.array([jet.y, jet.dy, jet.d2y]), fault)
 
 
 def wronskian(d: DerivedParams, p: EquationParams, z: complex,
@@ -217,21 +290,14 @@ def is_reachable(d: DerivedParams, z: complex,
                  ctrl: SeriesControl = SeriesControl()) -> bool:
     """True when both basis members can be evaluated at z by the region
     policy (and z is off the map's pole and the branch cut)."""
-    from .hypergeom import EvalStrategy, select_strategy
-    from .errors import PoleAtMinusI
-
-    try:
-        t = z_to_t(z)
-    except PoleAtMinusI:
-        return False
-    if abs(complex(t).imag) <= 1e-12 and complex(t).real >= 1.0 - 1e-12:
+    t, _, _, fault = forward_jets(complex(z))
+    if fault is not None:
         return False
     for which in BasisMember:
         try:
             hp = basis_hyp_params(d, which)
         except DegenerateBasis:
             return False
-        if select_strategy(hp, t, ctrl) is EvalStrategy.UNREACHABLE:
+        if not evaluable(hp, t, ctrl)[0]:
             return False
-        # derivative identities shift gamma by +1/+2; same region applies
     return True

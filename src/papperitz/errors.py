@@ -19,7 +19,11 @@ class OnBranchCut(PapperitzError):
 
 
 class DegenerateGamma(PapperitzError):
-    """Derivative identity undefined: gamma too close to 0."""
+    """Derivative identity undefined: gamma too close to 0.
+
+    The one-pass jets of :mod:`papperitz.hypergeom` use no derivative
+    identity, so nothing raises it any more; it stays for callers that
+    catch it."""
 
 
 class EvaluationUnreachable(PapperitzError):

@@ -122,11 +122,11 @@ def suite_hypergeom_identities(rng, n: int) -> Check:
                * gauss_2f1(HypParams(p.gamma - p.alpha, p.gamma - p.beta,
                                      p.gamma), t, ctrl))
         ok &= abs(f - eul) <= 1e-12 * max(abs(f), 1.0)
-        # Pfaff, |t| <= 0.5 and Re t < 0.5
+        # Pfaff, |t| <= 0.5 with t/(t-1) inside the series region
         while True:
             r = 0.5 * np.sqrt(rng.uniform(0, 1))
             tp = r * np.exp(1j * rng.uniform(-np.pi, np.pi))
-            if tp.real < 0.5:
+            if abs(tp / (tp - 1)) <= ctrl.region_cutoff:
                 break
         fp = gauss_2f1(p, tp, ctrl)
         pf = (principal_power(1 - tp, -p.beta)

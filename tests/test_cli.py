@@ -238,3 +238,183 @@ def test_selftest_detects_mutation(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "selftest", "--quick", "--seed", "3")
     assert code == 4
     assert "FAIL" in out
+
+
+EVAL_ABC = ("--a", "0.3,0.1", "--b", "0.2,0", "--c", "0.1,0.2")
+
+
+def _points_file(tmp_path, rows, header="z_re,z_im"):
+    path = tmp_path / "points.csv"
+    path.write_text(header + "\n" + "".join(f"{r}\n" for r in rows))
+    return str(path)
+
+
+def test_eval_points_missing_file(tmp_path, capsys):
+    missing = str(tmp_path / "absent.csv")
+    code, out, err = run_cli(capsys, "eval", *EVAL_ABC, "--points", missing)
+    assert code == 1 and out == ""
+    assert "absent.csv" in err
+
+
+def test_eval_points_missing_column(tmp_path, capsys):
+    path = _points_file(tmp_path, ["0.5,1.5"], header="z_re,zz")
+    code, out, err = run_cli(capsys, "eval", *EVAL_ABC, "--points", path)
+    assert code == 1 and out == ""
+    assert "points.csv" in err and "z_im" in err
+
+
+def test_eval_points_unparsable_value(tmp_path, capsys):
+    path = _points_file(tmp_path, ["0.5,1.5", "abc,1"])
+    code, out, err = run_cli(capsys, "eval", *EVAL_ABC, "--points", path)
+    assert code == 1 and out == ""
+    assert "points.csv" in err and "line 3" in err
+
+
+@pytest.mark.parametrize("bad", ["nan,1", "0.5,inf", "-inf,2"])
+def test_eval_points_nonfinite_value(tmp_path, capsys, bad):
+    path = _points_file(tmp_path, ["0.5,1.5", bad])
+    code, out, err = run_cli(capsys, "eval", *EVAL_ABC, "--points", path)
+    assert code == 1 and out == ""
+    assert "points.csv" in err and "line 3" in err and "finite" in err
+
+
+def test_eval_no_convergence_exit_3(capsys, monkeypatch):
+    import functools
+
+    from papperitz.hypergeom import SeriesControl
+
+    tiny = SeriesControl(max_terms=5)
+    monkeypatch.setattr(cli, "solution_jets",
+                        functools.partial(cli.solution_jets, ctrl=tiny))
+    code, out, err = run_cli(capsys, "eval", *EVAL_ABC, "--z", "0.5,1.5")
+    assert code == 3 and out == ""
+    assert err.startswith("papperitz: error:") and len(err.splitlines()) == 1
+    assert "did not converge" in err
+
+
+def test_integrate_step_limit_exit_3(capsys, monkeypatch):
+    import functools
+
+    from papperitz.oracle import IntegrationControl
+
+    tiny = IntegrationControl(max_steps=3)
+    monkeypatch.setattr(cli, "integrate_ivp",
+                        functools.partial(cli.integrate_ivp, ctrl=tiny))
+    code, out, err = run_cli(capsys, "integrate", *EVAL_ABC, "--path", "0,0;2,0",
+                             "--y0", "1,0", "--dy0", "0,0")
+    assert code == 3 and out == ""
+    assert err.startswith("papperitz: error:") and len(err.splitlines()) == 1
+    assert "step budget" in err
+
+
+def test_eval_at_z_equals_i_exit_3(capsys):
+    # t = 0: the power t^(lambda-2) of the second derivative has no value
+    code, out, err = run_cli(capsys, "eval", *EVAL_ABC, "--z", "0,1")
+    assert code == 3 and out == ""
+    assert "not evaluable" in err
+
+
+def test_verify_negative_samples_exit_1(capsys):
+    code, out, err = run_cli(capsys, "verify", "--a", "1,0", "--b", "0,0",
+                             "--c", "1,0", "--samples", "-5")
+    assert code == 1 and out == ""
+    assert "--samples" in err
+
+
+def test_selftest_default_seed_passes(capsys):
+    # seed 0 is the default; its Pfaff check once drew |t/(t-1)| = 0.994
+    code, out, _ = run_cli(capsys, "selftest", "--seed", "0")
+    assert code == 0
+    assert out.endswith("selftest: pass\n")
+
+
+# Points of every strategy: with these generic parameters the two members
+# take different Pfaff strategies, and a = 2, b = 3, c = 0 (with c2 = 0)
+# makes the first member a polynomial times t^lambda.
+BATCH_CASES = [
+    (("--a", "0.3,0.1", "--b", "0.2,0", "--c", "0.1,0.2", "--c2", "0.4,-0.2"),
+     ["0.5,1.5", "-1,2", "0.2,0.9", "3,-1.2", "1.2,0.3", "0.6,0.2",
+      "-0.9,0.1", "4,-1.5", "0.1,0.4", "-3.1,-1.3"]),
+    (("--a", "2,0", "--b", "3,0", "--c", "0,0", "--c2", "0,0"),
+     ["0,0", "0.5,1.5", "3,-2", "-1.5,-0.5", "0.2,-4"]),
+]
+
+
+def _csv_rows(out):
+    lines = out.splitlines()
+    return lines[0], lines[1:]
+
+
+@pytest.mark.parametrize("args,points", BATCH_CASES)
+def test_points_rows_match_single_points(tmp_path, capsys, args, points):
+    # one --z request per point against one --points request, in order and
+    # shuffled: each row must be the same bytes
+    singles = []
+    for z in points:
+        code, out, err = run_cli(capsys, "eval", *args, "--z", z)
+        assert code == 0, err
+        singles.append(_csv_rows(out)[1][0])
+    path = _points_file(tmp_path, points)
+    code, out, _ = run_cli(capsys, "eval", *args, "--points", path)
+    assert code == 0
+    assert _csv_rows(out)[1] == singles
+    order = list(range(len(points)))[::-1]
+    order = order[1::2] + order[::2]
+    path = _points_file(tmp_path, [points[i] for i in order])
+    code, out, _ = run_cli(capsys, "eval", *args, "--points", path)
+    assert code == 0
+    assert _csv_rows(out)[1] == [singles[i] for i in order]
+
+
+def test_batch_cases_cover_every_strategy():
+    from papperitz.closed_form import (BasisMember, EquationParams,
+                                       basis_hyp_params, derive_params)
+    from papperitz.hypergeom import EvalStrategy, select_strategy
+    from papperitz.mobius import z_to_t
+
+    seen = set()
+    for args, points in BATCH_CASES:
+        p = EquationParams(*(cli.parse_complex(args[i]) for i in (1, 3, 5)))
+        d = derive_params(p)
+        members = [BasisMember.FIRST] + [BasisMember.SECOND] * (args[-1] != "0,0")
+        for z in points:
+            t = z_to_t(cli.parse_complex(z))
+            for which in members:
+                seen.add(select_strategy(basis_hyp_params(d, which), t))
+    assert seen == set(EvalStrategy) - {EvalStrategy.UNREACHABLE}
+    assert any(args[-1] == "0,0" for args, _ in BATCH_CASES)  # c2 = 0
+
+
+def test_points_first_failure_decides(tmp_path, capsys):
+    # 3rd point is the pole z = -i, 5th is unreachable (z = -sqrt(3))
+    rows = ["0.5,1.5", "-1,2", "0,-1", "0.2,0.9", "-1.7320508075688772,0"]
+    path = _points_file(tmp_path, rows)
+    code, out, err = run_cli(capsys, "eval", *EVAL_ABC, "--points", path)
+    assert code == 3 and out == ""
+    assert err.startswith("point z=-1j not evaluable")
+    assert len(err.splitlines()) == 1
+    # with the pole gone, the unreachable point is the first failure
+    path = _points_file(tmp_path, rows[:2] + rows[3:])
+    code, out, err = run_cli(capsys, "eval", *EVAL_ABC, "--points", path)
+    assert code == 3 and out == ""
+    assert "-1.7320508075688772" in err and "no evaluation strategy" in err
+
+
+def test_points_degenerate_basis_exit_2(tmp_path, capsys):
+    path = _points_file(tmp_path, ["0,2", "0.5,1.5", "0,-1"])
+    code, out, err = run_cli(capsys, "eval", "--a", "0,0", "--b", "-0.25,0",
+                             "--c", "0,0", "--c1", "1,0", "--c2", "1,0",
+                             "--points", path)
+    assert code == 2 and out == ""
+    assert "degenerate basis at z=2j" in err
+
+
+@pytest.mark.parametrize("command,option", [
+    ("params", "--json"), ("eval", "--points"), ("verify", "--samples"),
+    ("integrate", "--dy0"), ("selftest", "--quick")])
+def test_subcommand_help_lists_its_options(capsys, command, option):
+    # a request builds only its own subcommand's arguments
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    assert exc.value.code == 0
+    assert option in capsys.readouterr().out

@@ -284,3 +284,25 @@ def test_jet_coordinate_tag():
         Jet2(1, 0, 0, coord="x")
     with pytest.raises(ValueError):
         residual_z(EquationParams(0, 0, 0), Jet2(1, 0, 0, coord="t"), 0.5)
+
+
+def test_is_reachable_matches_evaluation():
+    # the grid holds z = i, the pole z = -i and the branch cut below it
+    from papperitz.closed_form import is_reachable
+    from papperitz.errors import (EvaluationUnreachable, OnBranchCut,
+                                  PoleAtMinusI, ZeroBaseNonpositiveExponent)
+
+    rng = np.random.default_rng(31)
+    axis = np.linspace(-4, 4, 33)
+    grid = [complex(x, y) for x in axis for y in axis]
+    for _ in range(2):
+        p, d = random_generic_equation(rng)
+        for z in grid:
+            try:
+                eval_solution(d, p, 1, 1, z)
+                excluded = False
+            except (EvaluationUnreachable, OnBranchCut, PoleAtMinusI):
+                excluded = True
+            except ZeroBaseNonpositiveExponent:
+                excluded = False  # z = i is reached; its powers have no value
+            assert is_reachable(d, z) is (not excluded), z

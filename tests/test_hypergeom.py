@@ -16,6 +16,7 @@ from papperitz.hypergeom import (
     SeriesControl,
     gauss_2f1,
     gauss_2f1_derivative,
+    gauss_2f1_jet,
     gauss_2f1_second_derivative,
     raw_series,
     select_strategy,
@@ -225,3 +226,134 @@ def test_one_minus_t_connection_against_series():
         conn = gauss_2f1(p, t, tight)
         assert abs(direct - conn) <= 1e-9 * max(abs(direct), 1.0)
         checked += 1
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64).tobytes()
+
+
+def _mixed_points(p, rng, n=120):
+    from papperitz.hypergeom import evaluable
+
+    t = rng.uniform(-2.5, 2.5, n) + 1j * rng.uniform(-2.5, 2.5, n)
+    return t[evaluable(p, t)]
+
+
+def test_kernel_row_independent_of_batch_order_blocks_and_cache(monkeypatch):
+    from papperitz import hypergeom
+    from papperitz.hypergeom import gauss_2f1_jets
+
+    rng = np.random.default_rng(41)
+    for _ in range(4):
+        p = random_hyp_params(rng)
+        t = _mixed_points(p, rng)
+        whole, fault = gauss_2f1_jets(p, t)
+        assert fault is None
+        alone = np.array([gauss_2f1_jets(p, t[i:i + 1])[0][:, 0]
+                          for i in range(len(t))]).T
+        assert _bits(alone) == _bits(whole)
+        perm = rng.permutation(len(t))
+        assert _bits(gauss_2f1_jets(p, t[perm])[0]) == _bits(whole[:, perm])
+        hypergeom._jet_coefficients.cache_clear()
+        monkeypatch.setattr(hypergeom, "BLOCK_TERMS", 500)
+        assert _bits(gauss_2f1_jets(p, t)[0]) == _bits(whole)
+        monkeypatch.undo()
+        # a table built longer first serves the same prefix
+        hypergeom._jet_coefficients.cache_clear()
+        gauss_2f1_jets(p, np.array([0.69j]))
+        assert _bits(gauss_2f1_jets(p, t)[0]) == _bits(whole)
+        assert gauss_2f1_jet(p, complex(t[0])) == tuple(whole[:, 0].tolist())
+
+
+def test_kernel_reports_the_first_failing_point():
+    from papperitz.hypergeom import gauss_2f1_jets, series_jets
+
+    p = HypParams(0.3 + 0.1j, 1.2, 0.8 - 0.4j)
+    t = np.array([0.1, -9.0, 1.5, 0.2])  # unreachable, then on the cut
+    _, fault = gauss_2f1_jets(p, t)
+    assert fault[0] == 1 and isinstance(fault[1], EvaluationUnreachable)
+    _, fault = gauss_2f1_jets(p, t[[0, 2, 1]])
+    assert fault[0] == 1 and isinstance(fault[1], OnBranchCut)
+    _, fault = series_jets(p, np.array([0.5, 0.9, 1.2]), SeriesControl(max_terms=60))
+    assert fault[0] == 1 and isinstance(fault[1], NoConvergence)
+
+
+def test_polynomial_table_stops_before_vanishing_gamma_factor():
+    # gamma = -2 with alpha = -2: the factor (gamma + 2) is never formed
+    p = HypParams(-2, 0.5 + 0.5j, -2)
+    w = 3.0 - 1.0j
+    c1 = p.alpha * p.beta / p.gamma
+    c2 = c1 * (p.alpha + 1) * (p.beta + 1) / ((p.gamma + 1) * 2)
+    f, f1, f2 = gauss_2f1_jet(p, w)
+    assert abs(f - (1 + c1 * w + c2 * w * w)) <= 1e-14 * abs(f)
+    assert abs(f1 - (c1 + 2 * c2 * w)) <= 1e-14 * abs(f1)
+    assert abs(f2 - 2 * c2) <= 1e-14 * abs(f2)
+
+
+# Worst error (relative to max(|F|, 1)) of F, F' and F'' against mpmath at
+# the seeded points of _jet_points, by strategy: ten times the worst the
+# point-by-point evaluation before one-pass jets gave at the same points.
+JET_TOLERANCE = {
+    EvalStrategy.DIRECT_SERIES: (1.8e-14, 2.5e-14, 1.6e-13),
+    EvalStrategy.PFAFF_ON_ALPHA: (2.3e-14, 2.0e-14, 1.3e-14),
+    EvalStrategy.PFAFF_ON_BETA: (2.7e-14, 1.8e-14, 2.1e-14),
+    EvalStrategy.ONE_MINUS_T_CONNECTION: (5.2e-13, 3.8e-12, 3.1e-12),
+    EvalStrategy.POLYNOMIAL_TRUNCATION: (1.1e-14, 1.0e-14, 6.4e-15),
+}
+
+
+def _jet_points(strategy, n=25):
+    """Seeded (params, t) pairs that the region policy gives to strategy."""
+    rng = np.random.default_rng(list(EvalStrategy).index(strategy) + 50)
+    pairs = []
+    while len(pairs) < n:
+        if strategy is EvalStrategy.POLYNOMIAL_TRUNCATION:
+            p = HypParams(-int(rng.integers(0, 6)),
+                          complex(rng.uniform(-2, 2), rng.uniform(-2, 2)),
+                          complex(rng.uniform(0.5, 2), rng.uniform(-2, 2)))
+        else:
+            p = random_hyp_params(rng)
+        t = complex(rng.uniform(-2.5, 2.5), rng.uniform(-2.5, 2.5))
+        if select_strategy(p, t) is strategy and abs(t.imag) > 1e-3:
+            pairs.append((p, t))
+    return pairs
+
+
+def _mp_jet(p, t):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        a, b, c, x = (mpmath.mpc(v) for v in (p.alpha, p.beta, p.gamma, t))
+        return (complex(mpmath.hyp2f1(a, b, c, x)),
+                complex(a * b / c * mpmath.hyp2f1(a + 1, b + 1, c + 1, x)),
+                complex(a * (a + 1) * b * (b + 1) / (c * (c + 1))
+                        * mpmath.hyp2f1(a + 2, b + 2, c + 2, x)))
+
+
+@pytest.mark.parametrize("strategy", list(JET_TOLERANCE), ids=lambda s: s.value)
+def test_jets_against_mpmath(strategy):
+    pytest.importorskip("mpmath")
+    worst = [0.0, 0.0, 0.0]
+    for p, t in _jet_points(strategy):
+        got = gauss_2f1_jet(p, t)
+        for k, ref in enumerate(_mp_jet(p, t)):
+            worst[k] = max(worst[k], abs(got[k] - ref) / max(abs(ref), 1.0))
+    for k, tol in enumerate(JET_TOLERANCE[strategy]):
+        assert worst[k] <= tol, (k, worst[k])
+
+
+def test_kernel_sums_again_the_points_it_has_not_released(monkeypatch):
+    # large alpha, beta: the terms grow for ~60 steps before they decay, past
+    # the count the kernel takes first from |w| alone
+    from papperitz import hypergeom
+    from papperitz.hypergeom import series_jets
+
+    mpmath = pytest.importorskip("mpmath")
+    p = HypParams(20, 19.5 + 1j, 1.5)
+    w = 0.5 * np.exp(1j * np.linspace(-0.5, 0.5, 9))  # no cancellation
+    whole, fault = series_jets(p, w)
+    assert fault is None
+    monkeypatch.setattr(hypergeom, "BLOCK_TERMS", 700)
+    assert _bits(series_jets(p, w)[0]) == _bits(whole)
+    for x, got in zip(w, whole[0]):
+        ref = complex(mpmath.hyp2f1(p.alpha, p.beta, p.gamma, x))
+        assert abs(got - ref) <= 1e-12 * abs(ref)

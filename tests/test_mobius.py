@@ -103,3 +103,21 @@ def test_principal_branch_is_cmath_log():
     assert cmath.phase(-1.0) == math.pi
     assert abs(principal_power(-2.0, 1j)
                - cmath.exp(1j * (math.log(2) + 1j * math.pi))) < 1e-15
+
+
+def test_principal_power_signed_zero_on_arrays():
+    # np.log(complex(-1, -0.0)) is -i pi; the principal branch wants +i pi
+    w = np.array([complex(-1, -0.0), complex(-1, 0.0), complex(-4, -0.0)])
+    got = principal_power(w, 0.5)
+    assert got[0] == got[1] == principal_power(complex(-1, -0.0), 0.5)
+    assert got[0].imag > 0 and got[2].imag > 0
+    assert principal_power(complex(-1, -0.0), 0.5) == principal_power(-1.0, 0.5)
+
+
+def test_map_functions_take_arrays():
+    z = np.array([0.5 + 1.5j, -2.0 + 0.3j, 3.0])
+    for fn in (z_to_t, dt_dz, d2t_dz2):
+        got = fn(z)
+        assert got.tolist() == [fn(complex(x)) for x in z]
+    with pytest.raises(PoleAtMinusI):
+        z_to_t(np.array([1j, -1j]))
