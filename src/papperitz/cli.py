@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 usage/parse error, 2 degenerate parameters,
-3 unreachable/excluded evaluation point or path, or a series or an
-integration that exhausts its term or step budget, 4 verification failure.
+3 unreachable/excluded evaluation point or path, a series or an
+integration that exhausts its term or step budget, or a value that
+overflows to an infinity or NaN, 4 verification failure.
 """
 
 import argparse
@@ -21,6 +22,7 @@ from .errors import (
     DegenerateWronskian,
     EvaluationUnreachable,
     NoConvergence,
+    NonFiniteSolution,
     OnBranchCut,
     PathTooCloseToSingularity,
     PoleAtMinusI,
@@ -234,7 +236,20 @@ def cmd_eval(args) -> int:
     c2 = parse_complex(args.c2)
     d = derive_params(p)
     points = _eval_points(args)
-    jet, fault = solution_jets(d, p, c1, c2, points)
+    z = np.array(points)
+    # an overflow shows as a row that is not finite, reported below
+    with np.errstate(all="ignore"):
+        jet, fault = solution_jets(d, p, c1, c2, z)
+        columns = (z.real, z.imag, jet.y.real, jet.y.imag, jet.dy.real,
+                   jet.dy.imag, np.abs(residual_z(p, jet, z)))
+    evaluated = len(points) if fault is None else fault[0]
+    finite = np.isfinite(columns[2:]).all(axis=0)[:evaluated]
+    if not finite.all():
+        i = int(finite.argmin())
+        print(f"point z={points[i]} not evaluable: its row is not finite "
+              f"(y={complex(jet.y[i])}, dy={complex(jet.dy[i])}, "
+              f"residual_abs={float(columns[6][i])})", file=sys.stderr)
+        return EXIT_UNREACHABLE
     if fault is not None:
         i, exc = fault
         if isinstance(exc, DegenerateBasis):
@@ -244,9 +259,6 @@ def cmd_eval(args) -> int:
             print(f"point z={points[i]} not evaluable: {exc}", file=sys.stderr)
             return EXIT_UNREACHABLE
         raise exc
-    z = np.array(points)
-    columns = (z.real, z.imag, jet.y.real, jet.y.imag, jet.dy.real, jet.dy.imag,
-               np.abs(residual_z(p, jet, z)))
     # tolist() gives Python floats, whose repr the CSV rows rely on
     rows = [dict(zip(CSV_HEADER, values))
             for values in zip(*(c.tolist() for c in columns))]
@@ -349,7 +361,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except DegenerateWronskian as exc:
         print(f"papperitz: degenerate: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except (NoConvergence, StepLimitExceeded) as exc:
+    except (NoConvergence, NonFiniteSolution, StepLimitExceeded) as exc:
         print(f"papperitz: error: {exc}", file=sys.stderr)
         return EXIT_UNREACHABLE
 

@@ -66,3 +66,7 @@ class StepLimitExceeded(PapperitzError):
 
 class PathTooCloseToSingularity(PapperitzError):
     """An integration segment passes too close to z = +i or z = -i."""
+
+
+class NonFiniteSolution(PapperitzError):
+    """The integrated solution overflowed to an infinity or NaN."""

@@ -5,11 +5,12 @@ only the raw ODE coefficients, so agreement with the closed form is a
 genuine two-sided check.
 """
 
+import cmath
 from dataclasses import dataclass, field
 from typing import Callable, List, Sequence, Tuple
 
-from .closed_form import DerivedParams, EquationParams, Jet2, eval_solution
-from .errors import PathTooCloseToSingularity, StepLimitExceeded
+from .closed_form import DerivedParams, EquationParams, Jet2, solution_jets
+from .errors import NonFiniteSolution, PathTooCloseToSingularity, StepLimitExceeded
 from .hypergeom import SeriesControl
 
 _SINGULARITIES = (1j, -1j)
@@ -111,9 +112,13 @@ _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
           -92097 / 339200, 187 / 2100, 1 / 40)
 
 
-def _rhs(p: EquationParams, z: complex, y: complex, v: complex):
-    q = 1 + z * z
-    return v, -(2 * p.a * z * q * v + 4 * (p.b + p.c * z) * y) / (q * q)
+def _finite_sample(z: complex, y: complex, v: complex):
+    """The waypoint sample (z, y, y'); NonFiniteSolution when y or y' has
+    overflowed to an infinity or NaN."""
+    if not (cmath.isfinite(y) and cmath.isfinite(v)):
+        raise NonFiniteSolution(f"the integrated solution is not finite at "
+                                f"z={z}: y={y}, y'={v}")
+    return z, y, v
 
 
 def integrate_ivp(p: EquationParams, path: PathSpec,
@@ -121,9 +126,29 @@ def integrate_ivp(p: EquationParams, path: PathSpec,
                   ctrl: IntegrationControl = IntegrationControl()
                   ) -> List[Tuple[complex, complex, complex]]:
     """Integrate y'' from the ODE along the polyline; returns (z, y, y')
-    at every waypoint, the start included."""
+    at every waypoint, the start included.  Raises NonFiniteSolution when
+    y or y' is not finite at a waypoint.
+
+    The seven stages of a step are written out, as DOPRI5 codes do
+    (Hairer, Norsett & Wanner, Solving ODEs I, II.5), and every value is
+    the one a loop over the tableau gives, bit for bit:
+    - a stage adds (h*a_ij)*k_j in the order of j and skips the zero a72;
+    - the weighted sums add b_k*k_k in order to 0j, zero weights
+      included, as sum() from 0 does on CPython 3.11;
+    - 2a is formed once per call instead of once per stage;
+    - a real number times or plus a complex is written complex first, as
+      in k*w, (b + c*z)*4 and z*z + 1: the same IEEE operations, with one
+      failed dispatch to the real number's type fewer.
+    """
+    c1, c2, c3, c4, c5, c6, c7 = _DP_C
+    ((), (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54),
+     (a61, a62, a63, a64, a65), (a71, _, a73, a74, a75, a76)) = _DP_A
+    w1, w2, w3, w4, w5, w6, w7 = _DP_B5
+    e1, e2, e3, e4, e5, e6, e7 = (b5 - b4 for b5, b4 in zip(_DP_B5, _DP_B4))
+    two_a, b, c = 2 * p.a, p.b, p.c
+    max_steps, abs_tol, rel_tol = ctrl.max_steps, ctrl.abs_tol, ctrl.rel_tol
     y, v = complex(y0), complex(dy0)
-    out = [(path.waypoints[0], y, v)]
+    out = [_finite_sample(path.waypoints[0], y, v)]
     steps = 0
     for z0, z1 in zip(path.waypoints, path.waypoints[1:]):
         seg_len = abs(z1 - z0)
@@ -135,37 +160,89 @@ def integrate_ivp(p: EquationParams, path: PathSpec,
         h = min(seg_len, 0.1)
         while s < seg_len:
             h = min(h, seg_len - s)
-            if steps >= ctrl.max_steps:
-                raise StepLimitExceeded(f"step budget {ctrl.max_steps} "
+            if steps >= max_steps:
+                raise StepLimitExceeded(f"step budget {max_steps} "
                                         f"exhausted at z={z0 + s * u}")
             steps += 1
-            ky = [0j] * 7
-            kv = [0j] * 7
-            for i in range(7):
-                yi, vi = y, v
-                for j, aij in enumerate(_DP_A[i]):
-                    if aij != 0.0:
-                        yi += h * aij * ky[j]
-                        vi += h * aij * kv[j]
-                zi = z0 + (s + _DP_C[i] * h) * u
-                fy, fv = _rhs(p, zi, yi, vi)
-                ky[i] = u * fy
-                kv[i] = u * fv
-            y5 = y + h * sum(b * k for b, k in zip(_DP_B5, ky))
-            v5 = v + h * sum(b * k for b, k in zip(_DP_B5, kv))
-            ey = h * sum((b5 - b4) * k for b5, b4, k in zip(_DP_B5, _DP_B4, ky))
-            ev = h * sum((b5 - b4) * k for b5, b4, k in zip(_DP_B5, _DP_B4, kv))
-            err = 0.0
-            for e_part, s_part in ((ey.real, y5.real), (ey.imag, y5.imag),
-                                   (ev.real, v5.real), (ev.imag, v5.imag)):
-                sc = ctrl.abs_tol + ctrl.rel_tol * abs(s_part)
-                err = max(err, abs(e_part) / sc)
+            # each stage: its point z, then k = u * (y', y'') there
+            z = z0 + u * (s + c1 * h)
+            q = z * z + 1
+            ky1 = u * v
+            kv1 = u * (-(two_a * z * q * v + (b + c * z) * 4 * y) / (q * q))
+            ha21 = h * a21
+            yi = y + ky1 * ha21
+            vi = v + kv1 * ha21
+            z = z0 + u * (s + c2 * h)
+            q = z * z + 1
+            ky2 = u * vi
+            kv2 = u * (-(two_a * z * q * vi + (b + c * z) * 4 * yi) / (q * q))
+            ha31 = h * a31
+            ha32 = h * a32
+            yi = y + ky1 * ha31 + ky2 * ha32
+            vi = v + kv1 * ha31 + kv2 * ha32
+            z = z0 + u * (s + c3 * h)
+            q = z * z + 1
+            ky3 = u * vi
+            kv3 = u * (-(two_a * z * q * vi + (b + c * z) * 4 * yi) / (q * q))
+            ha41 = h * a41
+            ha42 = h * a42
+            ha43 = h * a43
+            yi = y + ky1 * ha41 + ky2 * ha42 + ky3 * ha43
+            vi = v + kv1 * ha41 + kv2 * ha42 + kv3 * ha43
+            z = z0 + u * (s + c4 * h)
+            q = z * z + 1
+            ky4 = u * vi
+            kv4 = u * (-(two_a * z * q * vi + (b + c * z) * 4 * yi) / (q * q))
+            ha51 = h * a51
+            ha52 = h * a52
+            ha53 = h * a53
+            ha54 = h * a54
+            yi = y + ky1 * ha51 + ky2 * ha52 + ky3 * ha53 + ky4 * ha54
+            vi = v + kv1 * ha51 + kv2 * ha52 + kv3 * ha53 + kv4 * ha54
+            z = z0 + u * (s + c5 * h)
+            q = z * z + 1
+            ky5 = u * vi
+            kv5 = u * (-(two_a * z * q * vi + (b + c * z) * 4 * yi) / (q * q))
+            ha61 = h * a61
+            ha62 = h * a62
+            ha63 = h * a63
+            ha64 = h * a64
+            ha65 = h * a65
+            yi = y + ky1 * ha61 + ky2 * ha62 + ky3 * ha63 + ky4 * ha64 + ky5 * ha65
+            vi = v + kv1 * ha61 + kv2 * ha62 + kv3 * ha63 + kv4 * ha64 + kv5 * ha65
+            z = z0 + u * (s + c6 * h)
+            q = z * z + 1
+            ky6 = u * vi
+            kv6 = u * (-(two_a * z * q * vi + (b + c * z) * 4 * yi) / (q * q))
+            ha71 = h * a71
+            ha73 = h * a73
+            ha74 = h * a74
+            ha75 = h * a75
+            ha76 = h * a76
+            yi = y + ky1 * ha71 + ky3 * ha73 + ky4 * ha74 + ky5 * ha75 + ky6 * ha76
+            vi = v + kv1 * ha71 + kv3 * ha73 + kv4 * ha74 + kv5 * ha75 + kv6 * ha76
+            z = z0 + u * (s + c7 * h)
+            q = z * z + 1
+            ky7 = u * vi
+            kv7 = u * (-(two_a * z * q * vi + (b + c * z) * 4 * yi) / (q * q))
+            y5 = y + (0j + ky1 * w1 + ky2 * w2 + ky3 * w3 + ky4 * w4
+                      + ky5 * w5 + ky6 * w6 + ky7 * w7) * h
+            v5 = v + (0j + kv1 * w1 + kv2 * w2 + kv3 * w3 + kv4 * w4
+                      + kv5 * w5 + kv6 * w6 + kv7 * w7) * h
+            ey = (0j + ky1 * e1 + ky2 * e2 + ky3 * e3 + ky4 * e4
+                  + ky5 * e5 + ky6 * e6 + ky7 * e7) * h
+            ev = (0j + kv1 * e1 + kv2 * e2 + kv3 * e3 + kv4 * e4
+                  + kv5 * e5 + kv6 * e6 + kv7 * e7) * h
+            err = max(0.0,
+                      abs(ey.real) / (abs_tol + rel_tol * abs(y5.real)),
+                      abs(ey.imag) / (abs_tol + rel_tol * abs(y5.imag)),
+                      abs(ev.real) / (abs_tol + rel_tol * abs(v5.real)),
+                      abs(ev.imag) / (abs_tol + rel_tol * abs(v5.imag)))
             if err <= 1.0:
                 s += h
                 y, v = y5, v5
-            factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
-            h *= factor
-        out.append((z1, y, v))
+            h *= 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
+        out.append(_finite_sample(z1, y, v))
     return out
 
 
@@ -175,12 +252,21 @@ def compare_closed_numeric(p: EquationParams, d: DerivedParams,
                            series_ctrl: SeriesControl = SeriesControl()
                            ) -> VerifyReport:
     """Seed the integrator with the closed-form jet at the path start and
-    compare values at every waypoint."""
-    start_jet = eval_solution(d, p, c1, c2, path.waypoints[0], series_ctrl)
-    numeric = integrate_ivp(p, path, start_jet.y, start_jet.dy, ctrl)
+    compare values at every waypoint.
+
+    The closed form is evaluated at all waypoints in one call; a point's
+    jet is the same alone or in the array.  A failure at the start is
+    raised before integrating, one further along after it, as a
+    point-by-point evaluation would raise them."""
+    closed, fault = solution_jets(d, p, c1, c2, path.waypoints, series_ctrl)
+    if fault is not None and fault[0] == 0:
+        raise fault[1]
+    numeric = integrate_ivp(p, path, complex(closed.y[0]), complex(closed.dy[0]),
+                            ctrl)
+    if fault is not None:
+        raise fault[1]
     report = VerifyReport()
-    for z, y_num, _ in numeric:
-        y_closed = eval_solution(d, p, c1, c2, z, series_ctrl).y
+    for (z, y_num, _), y_closed in zip(numeric, closed.y.tolist()):
         abs_err = abs(y_closed - y_num)
         rel_err = abs_err / max(abs(y_closed), 1e-300)
         report.samples.append((z, y_closed, y_num, abs_err))

@@ -418,3 +418,48 @@ def test_subcommand_help_lists_its_options(capsys, command, option):
         cli.main([command, "--help"])
     assert exc.value.code == 0
     assert option in capsys.readouterr().out
+
+
+ZERO_ABC = ("--a", "0,0", "--b", "0,0", "--c", "0,0")
+
+
+@pytest.mark.parametrize("out_format", ["csv", "json"])
+def test_integrate_non_finite_exit_3(capsys, out_format):
+    # y'' = 0 from y = y' = 1e308: y overflows, and a NaN step once passed
+    # the error test as err = 0
+    code, out, err = run_cli(capsys, "integrate", *ZERO_ABC,
+                             "--path", "0.5,0;3,0", "--y0", "1e308,0",
+                             "--dy0", "1e308,0", "--out", out_format)
+    assert code == 3 and out == ""
+    assert err.startswith("papperitz: error:") and len(err.splitlines()) == 1
+    assert "not finite at z=(3+0j)" in err
+
+
+@pytest.mark.parametrize("out_format", ["csv", "json"])
+def test_eval_non_finite_exit_3(capsys, out_format):
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning may leak
+        code, out, err = run_cli(capsys, "eval", *ZERO_ABC, "--c1", "1e308,1e308",
+                                 "--z", "3,0", "--format", out_format)
+    assert code == 3 and out == ""
+    assert err.startswith("point z=(3+0j) not evaluable") and "not finite" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_points_non_finite_row_decides_in_order(tmp_path, capsys):
+    # with c1 = 1e307, y ~ c1 * z / 2 overflows at z = 1000 but not at 1 or 2
+    args = ("eval", *ZERO_ABC, "--c1", "1e307,0", "--points")
+    code, out, err = run_cli(capsys, *args,
+                             _points_file(tmp_path, ["1,0", "1000,0", "2,0"]))
+    assert code == 3 and out == ""
+    assert err.startswith("point z=(1000+0j) not evaluable")
+    assert len(err.splitlines()) == 1
+    # a point that fails before the overflowing row decides instead
+    code, out, err = run_cli(capsys, *args,
+                             _points_file(tmp_path, ["1,0", "0,-1", "1000,0"]))
+    assert code == 3 and out == ""
+    assert err.startswith("point z=-1j not evaluable")
+    code, out, _ = run_cli(capsys, *args, _points_file(tmp_path, ["1,0", "2,0"]))
+    assert code == 0 and len(out.splitlines()) == 3

@@ -8,12 +8,22 @@ from papperitz.closed_form import (
     derive_params,
     eval_basis,
     eval_basis_t_jet,
+    eval_solution,
 )
-from papperitz.errors import PathTooCloseToSingularity, StepLimitExceeded
+from papperitz.errors import (
+    NonFiniteSolution,
+    PathTooCloseToSingularity,
+    StepLimitExceeded,
+)
 from papperitz.mobius import z_to_t
 from papperitz.oracle import (
+    _DP_A,
+    _DP_B4,
+    _DP_B5,
+    _DP_C,
     IntegrationControl,
     PathSpec,
+    VerifyReport,
     compare_closed_numeric,
     finite_difference_jet,
     integrate_ivp,
@@ -21,7 +31,11 @@ from papperitz.oracle import (
     residual_t,
     residual_z,
 )
-from papperitz.selftest import random_generic_equation, sample_reachable_point
+from papperitz.selftest import (
+    DEFAULT_PATH,
+    random_generic_equation,
+    sample_reachable_point,
+)
 
 
 def test_residual_z_values():
@@ -202,3 +216,138 @@ def test_finite_difference_matches_analytic_jets():
         assert abs(fd.dy - analytic.dy) <= 1e-5 * max(abs(analytic.dy), 1.0)
         assert abs(fd.d2y - analytic.d2y) <= 1e-4 * max(abs(analytic.d2y), 1.0)
         count += 1
+
+
+def _loop_rhs(p, z, y, v):
+    q = 1 + z * z
+    return v, -(2 * p.a * z * q * v + 4 * (p.b + p.c * z) * y) / (q * q)
+
+
+def _loop_integrate_ivp(p, path, y0, dy0, ctrl=IntegrationControl()):
+    """integrate_ivp as a loop over the tableau: the reference that the
+    written-out stages must match bit for bit.  Its sum() adds in plain
+    order, as on CPython 3.11; a sum() that compensates complex sums
+    would round differently."""
+    y, v = complex(y0), complex(dy0)
+    out = [(path.waypoints[0], y, v)]
+    steps = 0
+    for z0, z1 in zip(path.waypoints, path.waypoints[1:]):
+        seg_len = abs(z1 - z0)
+        if seg_len == 0.0:
+            out.append((z1, y, v))
+            continue
+        u = (z1 - z0) / seg_len
+        s = 0.0
+        h = min(seg_len, 0.1)
+        while s < seg_len:
+            h = min(h, seg_len - s)
+            if steps >= ctrl.max_steps:
+                raise StepLimitExceeded(f"step budget {ctrl.max_steps} "
+                                        f"exhausted at z={z0 + s * u}")
+            steps += 1
+            ky = [0j] * 7
+            kv = [0j] * 7
+            for i in range(7):
+                yi, vi = y, v
+                for j, aij in enumerate(_DP_A[i]):
+                    if aij != 0.0:
+                        yi += h * aij * ky[j]
+                        vi += h * aij * kv[j]
+                zi = z0 + (s + _DP_C[i] * h) * u
+                fy, fv = _loop_rhs(p, zi, yi, vi)
+                ky[i] = u * fy
+                kv[i] = u * fv
+            y5 = y + h * sum(b * k for b, k in zip(_DP_B5, ky))
+            v5 = v + h * sum(b * k for b, k in zip(_DP_B5, kv))
+            ey = h * sum((b5 - b4) * k for b5, b4, k in zip(_DP_B5, _DP_B4, ky))
+            ev = h * sum((b5 - b4) * k for b5, b4, k in zip(_DP_B5, _DP_B4, kv))
+            err = 0.0
+            for e_part, s_part in ((ey.real, y5.real), (ey.imag, y5.imag),
+                                   (ev.real, v5.real), (ev.imag, v5.imag)):
+                sc = ctrl.abs_tol + ctrl.rel_tol * abs(s_part)
+                err = max(err, abs(e_part) / sc)
+            if err <= 1.0:
+                s += h
+                y, v = y5, v5
+            factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
+            h *= factor
+        out.append((z1, y, v))
+    return out
+
+
+#: The benchmark's integrate_path polyline, length ~19.4, in Re z > 0.
+BENCH_PATH = (0.5 + 3j, 4 + 3j, 4 - 3j, 0.5 - 3j, 2.5 + 0.8j, 0.7 + 1.8j)
+
+#: The default control and those of test_integrate_tolerance_ladder: the
+#: generic equations reject steps at each, and y'' = 0 from (1, 0) takes
+#: steps of zero error estimate.
+BIT_IDENTITY_CONTROLS = [IntegrationControl()] + [
+    IntegrationControl(rel_tol=tol, abs_tol=tol * 1e-2)
+    for tol in (1e-5, 1e-7, 1e-9, 1e-11)] + [
+    IntegrationControl(rel_tol=1e-13, abs_tol=1e-14)]
+
+
+@pytest.mark.parametrize("waypoints", [
+    DEFAULT_PATH, BENCH_PATH, (2j, 1 + 2j, 1 + 2j, 2 + 2j)])
+def test_integrate_matches_loop_form_bit_for_bit(waypoints):
+    rng = np.random.default_rng(36)
+    path = PathSpec(waypoints)
+    cases = [(random_generic_equation(rng)[0], 1.0, 0.3) for _ in range(20)]
+    cases.append((EquationParams(0, 0, 0), 1.0, 0.0))
+    for p, y0, dy0 in cases:
+        for ctrl in BIT_IDENTITY_CONTROLS:
+            got = integrate_ivp(p, path, y0, dy0, ctrl)
+            want = _loop_integrate_ivp(p, path, y0, dy0, ctrl)
+            assert got == want
+            assert repr(got) == repr(want)  # signed zeros too
+
+
+@pytest.mark.parametrize("max_steps", [3, 50])
+def test_step_limit_message_matches_loop_form(max_steps):
+    p = EquationParams(0.3 + 0.1j, 0.2, 0.1 + 0.2j)
+    path = PathSpec(BENCH_PATH)
+    ctrl = IntegrationControl(max_steps=max_steps)
+    with pytest.raises(StepLimitExceeded) as got:
+        integrate_ivp(p, path, 1.0, 0.3, ctrl)
+    with pytest.raises(StepLimitExceeded) as want:
+        _loop_integrate_ivp(p, path, 1.0, 0.3, ctrl)
+    assert str(got.value) == str(want.value)
+    assert f"step budget {max_steps} exhausted" in str(got.value)
+
+
+def test_integrate_non_finite_raises():
+    # y'' = 0 from y = y' = 1e308 overflows; a NaN step has error estimate
+    # NaN, which max() drops, so without the check it was accepted
+    p = EquationParams(0, 0, 0)
+    with pytest.raises(NonFiniteSolution, match=r"not finite at z=\(3\+0j\)"):
+        integrate_ivp(p, PathSpec([0.5, 3.0]), 1e308, 1e308)
+    with pytest.raises(NonFiniteSolution):
+        integrate_ivp(p, PathSpec([0.5, 3.0]), complex("nan"), 0)
+    assert integrate_ivp(p, PathSpec([0.5, 3.0]), 1e307, 0)[-1][1] == 1e307
+
+
+def _pointwise_compare(p, d, c1, c2, path, ctrl=IntegrationControl()):
+    """compare_closed_numeric with one eval_solution call per waypoint."""
+    start_jet = eval_solution(d, p, c1, c2, path.waypoints[0])
+    numeric = integrate_ivp(p, path, start_jet.y, start_jet.dy, ctrl)
+    report = VerifyReport()
+    for z, y_num, _ in numeric:
+        y_closed = eval_solution(d, p, c1, c2, z).y
+        abs_err = abs(y_closed - y_num)
+        rel_err = abs_err / max(abs(y_closed), 1e-300)
+        report.samples.append((z, y_closed, y_num, abs_err))
+        report.max_abs_err = max(report.max_abs_err, abs_err)
+        report.max_rel_err = max(report.max_rel_err, rel_err)
+    return report
+
+
+def test_compare_closed_numeric_matches_pointwise_report():
+    rng = np.random.default_rng(37)
+    paths = [PathSpec(DEFAULT_PATH), PathSpec((2j, 1 + 2j, 1 + 2j, 2 + 2j))]
+    for _ in range(10):
+        p, d = random_generic_equation(rng)
+        for path in paths:
+            got = compare_closed_numeric(p, d, 1.0, 0.3, path)
+            want = _pointwise_compare(p, d, 1.0, 0.3, path)
+            assert repr(got) == repr(want)
+            assert all(type(s[1]) is complex for s in got.samples)
