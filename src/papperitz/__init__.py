@@ -17,11 +17,8 @@ from .closed_form import (
 from .hypergeom import (
     EvalStrategy,
     HypParams,
-    SeriesControl,
     gauss_2f1,
-    gauss_2f1_derivative,
     gauss_2f1_jets,
-    gauss_2f1_second_derivative,
     raw_series,
     select_strategy,
     series_jets,
@@ -42,8 +39,7 @@ __all__ = [
     "BasisMember", "DegeneracyClass", "DerivedParams", "EquationParams",
     "Jet2", "derive_params", "eval_basis", "eval_solution", "fit_ivp",
     "solution_jets", "wronskian", "EvalStrategy", "HypParams",
-    "SeriesControl", "gauss_2f1", "gauss_2f1_derivative", "gauss_2f1_jets",
-    "gauss_2f1_second_derivative", "raw_series", "select_strategy",
+    "gauss_2f1", "gauss_2f1_jets", "raw_series", "select_strategy",
     "series_jets", "d2t_dz2", "dt_dz", "principal_power", "t_to_z",
     "z_to_t", "IntegrationControl", "PathSpec", "VerifyReport",
     "compare_closed_numeric", "finite_difference_jet", "integrate_ivp",

@@ -1,9 +1,12 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 usage/parse error, 2 degenerate parameters,
-3 unreachable/excluded evaluation point or path, a series or an
-integration that exhausts its term or step budget, or a value that
-overflows to an infinity or NaN, 4 verification failure.
+Exit codes: 0 success, 1 usage/parse error (including a negative --seed,
+or a --tol that is negative or not finite), 2 degenerate parameters,
+3 unreachable/excluded evaluation point or path, a path segment longer
+than the largest float, a series or an integration that exhausts its term
+or step budget (a polynomial of degree 10^4 or more included), or a
+value that overflows to an infinity or NaN (derived parameters
+included), 4 verification failure.
 """
 
 import argparse
@@ -22,6 +25,8 @@ from .errors import (
     DegenerateWronskian,
     EvaluationUnreachable,
     NoConvergence,
+    NonFinitePath,
+    NonFiniteParameters,
     NonFiniteSolution,
     OnBranchCut,
     PathTooCloseToSingularity,
@@ -239,7 +244,7 @@ def cmd_eval(args) -> int:
     z = np.array(points)
     # an overflow shows as a row that is not finite, reported below
     with np.errstate(all="ignore"):
-        jet, fault = solution_jets(d, p, c1, c2, z)
+        jet, fault = solution_jets(d, c1, c2, z)
         columns = (z.real, z.imag, jet.y.real, jet.y.imag, jet.dy.real,
                    jet.dy.imag, np.abs(residual_z(p, jet, z)))
     evaluated = len(points) if fault is None else fault[0]
@@ -274,9 +279,17 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
+def _check_seed(seed: int):
+    if seed < 0:
+        raise UsageError(f"--seed must be nonnegative, got {seed}")
+
+
 def cmd_verify(args) -> int:
     if args.samples < 0:
         raise UsageError(f"--samples must be nonnegative, got {args.samples}")
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise UsageError(f"--tol must be a finite number >= 0, got {args.tol}")
+    _check_seed(args.seed)
     p = EquationParams(parse_complex(args.a), parse_complex(args.b),
                        parse_complex(args.c))
     d = derive_params(p)
@@ -293,7 +306,7 @@ def cmd_verify(args) -> int:
         for _ in range(args.samples):
             z = selftest.sample_reachable_point(d, rng)
             for which in BasisMember:
-                jet = eval_basis(d, p, which, z)
+                jet = eval_basis(d, which, z)
                 ratio = abs(residual_z(p, jet, z)) / residual_scale(z, jet)
                 max_res_ratio = max(max_res_ratio, ratio)
     except DegenerateBasis as exc:
@@ -313,7 +326,7 @@ def cmd_integrate(args) -> int:
     waypoints = parse_path(args.path)
     try:
         path = PathSpec(waypoints)
-    except PathTooCloseToSingularity as exc:
+    except (PathTooCloseToSingularity, NonFinitePath) as exc:
         print(f"invalid path: {exc}", file=sys.stderr)
         return EXIT_UNREACHABLE
     samples = integrate_ivp(p, path, parse_complex(args.y0),
@@ -335,6 +348,7 @@ def cmd_integrate(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    _check_seed(args.seed)
     ok = selftest.run_selftest(seed=args.seed, quick=args.quick)
     print("selftest: pass" if ok else "selftest: FAIL")
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
@@ -361,7 +375,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except DegenerateWronskian as exc:
         print(f"papperitz: degenerate: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except (NoConvergence, NonFiniteSolution, StepLimitExceeded) as exc:
+    except (NoConvergence, NonFiniteParameters, NonFiniteSolution,
+            StepLimitExceeded) as exc:
         print(f"papperitz: error: {exc}", file=sys.stderr)
         return EXIT_UNREACHABLE
 

@@ -16,9 +16,10 @@ from .errors import (
     DegenerateBasis,
     DegenerateWronskian,
     InvalidGamma,
+    NonFiniteParameters,
     ZeroBaseNonpositiveExponent,
 )
-from .hypergeom import HypParams, SeriesControl, earliest, evaluable, gauss_2f1_jets
+from .hypergeom import HypParams, earliest, evaluable, gauss_2f1_jets
 from .mobius import any_of, forward_jets, principal_power
 
 #: |delta| below this counts as a repeated Frobenius exponent.
@@ -99,11 +100,19 @@ def derive_params(p: EquationParams) -> DerivedParams:
     """Frobenius exponents and hypergeometric parameters from (a, b, c).
 
     delta and delta* are principal square roots; with c = 0 their
-    arguments coincide, so they are bit-identical.
+    arguments coincide, so they are bit-identical.  Raises
+    NonFiniteParameters when a derived value overflows.
     """
     a, b, c = complex(p.a), complex(p.b), complex(p.c)
-    delta = _principal_sqrt((1 - a) ** 2 + 4 * (b + 1j * c))
-    delta_star = _principal_sqrt((1 - a) ** 2 + 4 * (b - 1j * c))
+    try:
+        square = (1 - a) ** 2
+    except OverflowError as exc:
+        raise _overflow(p) from exc
+    delta = _principal_sqrt(square + 4 * (b + 1j * c))
+    delta_star = _principal_sqrt(square + 4 * (b - 1j * c))
+    # (1-a)^2 is finite here, so the sums below are finite when the roots are
+    if not (cmath.isfinite(delta) and cmath.isfinite(delta_star)):
+        raise _overflow(p)
     lam = (1 - a + delta) / 2
     lam2 = (1 - a - delta) / 2
     alpha = 1 - a + (delta + delta_star) / 2
@@ -121,6 +130,11 @@ def derive_params(p: EquationParams) -> DerivedParams:
 
     return DerivedParams(delta, delta_star, lam, lam2,
                          alpha, beta, gamma, degeneracy)
+
+
+def _overflow(p: EquationParams) -> NonFiniteParameters:
+    return NonFiniteParameters(f"a parameter derived from a={p.a}, b={p.b}, "
+                               f"c={p.c} overflows to an infinity or NaN")
 
 
 def basis_hyp_params(d: DerivedParams, which: BasisMember) -> HypParams:
@@ -145,13 +159,12 @@ def basis_exponent(d: DerivedParams, which: BasisMember) -> complex:
     return d.lam if which is BasisMember.FIRST else d.lam2
 
 
-def _member_t_jets(d: DerivedParams, which: BasisMember, t: np.ndarray,
-                   ctrl: SeriesControl):
+def _member_t_jets(d: DerivedParams, which: BasisMember, t: np.ndarray):
     """t-jets of t^e * F(params; t) for one basis member at every t, as a
     (3, n) array, and the fault of the first point that fails."""
     hp = basis_hyp_params(d, which)
     e = basis_exponent(d, which)
-    f, fault = gauss_2f1_jets(hp, t, ctrl)
+    f, fault = gauss_2f1_jets(hp, t)
     if e == 0 or (fault is not None and fault[0] == 0):
         return f, fault
     zero = t == 0
@@ -175,7 +188,7 @@ def _member_t_jets(d: DerivedParams, which: BasisMember, t: np.ndarray,
     ]), fault
 
 
-def _z_jets(d: DerivedParams, members, z, ctrl: SeriesControl):
+def _z_jets(d: DerivedParams, members, z):
     """Sum of coefficient * member over (member, coefficient) pairs, a
     coefficient None standing for 1, as a (3, n) array of z-jets at every z
     of a 1-D array, and the fault of the first point that fails.
@@ -199,7 +212,7 @@ def _z_jets(d: DerivedParams, members, z, ctrl: SeriesControl):
                 break
             t, tp, tpp = t[:count], tp[:count], tpp[:count]
         try:
-            jt, fault = _member_t_jets(d, which, t, ctrl)
+            jt, fault = _member_t_jets(d, which, t)
         except DegenerateBasis as exc:
             faults.append(((0, stage), exc))
             continue
@@ -218,22 +231,18 @@ def _first_point(jets: np.ndarray, fault, coord: str = "z") -> Jet2:
     return Jet2(*jets[:, 0].tolist(), coord=coord)
 
 
-def eval_basis_t_jet(d: DerivedParams, which: BasisMember, t: complex,
-                     ctrl: SeriesControl = SeriesControl()) -> Jet2:
+def eval_basis_t_jet(d: DerivedParams, which: BasisMember, t: complex) -> Jet2:
     """t-jet of t^e * F(params; t) for one basis member."""
-    return _first_point(*_member_t_jets(d, which, np.array([complex(t)]), ctrl),
+    return _first_point(*_member_t_jets(d, which, np.array([complex(t)])),
                         coord="t")
 
 
-def eval_basis(d: DerivedParams, p: EquationParams, which: BasisMember,
-               z: complex, ctrl: SeriesControl = SeriesControl()) -> Jet2:
+def eval_basis(d: DerivedParams, which: BasisMember, z: complex) -> Jet2:
     """z-jet of one basis member, by the chain rule through t(z)."""
-    return _first_point(*_z_jets(d, [(which, None)], [complex(z)], ctrl))
+    return _first_point(*_z_jets(d, [(which, None)], [complex(z)]))
 
 
-def solution_jets(d: DerivedParams, p: EquationParams,
-                  c1: complex, c2: complex, z,
-                  ctrl: SeriesControl = SeriesControl()):
+def solution_jets(d: DerivedParams, c1: complex, c2: complex, z):
     """Jets of c1 * (first member) + c2 * (second member) at every z of a
     1-D array: a Jet2 of arrays, and the first point that fails, as
     (index, exception), or None.  The points fail in the order a
@@ -245,37 +254,32 @@ def solution_jets(d: DerivedParams, p: EquationParams,
     """
     members = [(which, c) for which, c in ((BasisMember.FIRST, c1),
                                            (BasisMember.SECOND, c2)) if c != 0]
-    jets, fault = _z_jets(d, members, z, ctrl)
+    jets, fault = _z_jets(d, members, z)
     if fault is not None:
         fault = (fault[0][0], fault[1])
     return Jet2(*jets, coord="z"), fault
 
 
-def eval_solution(d: DerivedParams, p: EquationParams,
-                  c1: complex, c2: complex, z: complex,
-                  ctrl: SeriesControl = SeriesControl()) -> Jet2:
+def eval_solution(d: DerivedParams, c1: complex, c2: complex, z: complex) -> Jet2:
     """Jet of c1 * (first member) + c2 * (second member) at one z."""
-    jet, fault = solution_jets(d, p, c1, c2, [complex(z)], ctrl)
+    jet, fault = solution_jets(d, c1, c2, [complex(z)])
     return _first_point(np.array([jet.y, jet.dy, jet.d2y]), fault)
 
 
-def wronskian(d: DerivedParams, p: EquationParams, z: complex,
-              ctrl: SeriesControl = SeriesControl()) -> complex:
+def wronskian(d: DerivedParams, z: complex) -> complex:
     """y1 y2' - y2 y1' at z."""
-    j1 = eval_basis(d, p, BasisMember.FIRST, z, ctrl)
-    j2 = eval_basis(d, p, BasisMember.SECOND, z, ctrl)
+    j1 = eval_basis(d, BasisMember.FIRST, z)
+    j2 = eval_basis(d, BasisMember.SECOND, z)
     return j1.y * j2.dy - j2.y * j1.dy
 
 
-def fit_ivp(d: DerivedParams, p: EquationParams, z0: complex,
-            y0: complex, dy0: complex,
-            ctrl: SeriesControl = SeriesControl()):
+def fit_ivp(d: DerivedParams, z0: complex, y0: complex, dy0: complex):
     """Constants (c1, c2) matching (y0, dy0) at z0, by Cramer's rule."""
     if d.degeneracy is DegeneracyClass.REPEATED_EXPONENT:
         raise DegenerateWronskian("repeated exponent: the Wronskian of the "
                                   "closed-form pair vanishes identically")
-    j1 = eval_basis(d, p, BasisMember.FIRST, z0, ctrl)
-    j2 = eval_basis(d, p, BasisMember.SECOND, z0, ctrl)
+    j1 = eval_basis(d, BasisMember.FIRST, z0)
+    j2 = eval_basis(d, BasisMember.SECOND, z0)
     w = j1.y * j2.dy - j2.y * j1.dy
     scale = abs(j1.y) * abs(j2.dy) + abs(j2.y) * abs(j1.dy)
     if abs(w) < 1e-10 * scale:
@@ -286,8 +290,7 @@ def fit_ivp(d: DerivedParams, p: EquationParams, z0: complex,
     return c1, c2
 
 
-def is_reachable(d: DerivedParams, z: complex,
-                 ctrl: SeriesControl = SeriesControl()) -> bool:
+def is_reachable(d: DerivedParams, z: complex) -> bool:
     """True when both basis members can be evaluated at z by the region
     policy (and z is off the map's pole and the branch cut)."""
     t, _, _, fault = forward_jets(complex(z))
@@ -298,6 +301,6 @@ def is_reachable(d: DerivedParams, z: complex,
             hp = basis_hyp_params(d, which)
         except DegenerateBasis:
             return False
-        if not evaluable(hp, t, ctrl)[0]:
+        if not evaluable(hp, t)[0]:
             return False
     return True

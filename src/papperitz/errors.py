@@ -18,14 +18,6 @@ class OnBranchCut(PapperitzError):
     """Argument lies on the principal branch cut t in [1, inf)."""
 
 
-class DegenerateGamma(PapperitzError):
-    """Derivative identity undefined: gamma too close to 0.
-
-    The one-pass jets of :mod:`papperitz.hypergeom` use no derivative
-    identity, so nothing raises it any more; it stays for callers that
-    catch it."""
-
-
 class EvaluationUnreachable(PapperitzError):
     """No argument-reduction strategy covers this point."""
 
@@ -66,6 +58,14 @@ class StepLimitExceeded(PapperitzError):
 
 class PathTooCloseToSingularity(PapperitzError):
     """An integration segment passes too close to z = +i or z = -i."""
+
+
+class NonFinitePath(PapperitzError):
+    """An integration segment is longer than the largest float."""
+
+
+class NonFiniteParameters(PapperitzError):
+    """A parameter derived from (a, b, c) overflowed to an infinity or NaN."""
 
 
 class NonFiniteSolution(PapperitzError):

@@ -11,6 +11,9 @@ coefficients from a table built once per parameter triple.  The transforms
 take F' and F'' from the jets of their transformed series by the chain
 rule.  The functions of one point are wrappers over an array of one, and a
 point's value does not depend on the other points of its array.
+
+The series policy is fixed: REL_TOL, MAX_TERMS and REGION_CUTOFF are module
+constants, read at each call.
 """
 
 import cmath
@@ -41,6 +44,17 @@ BRANCH_CUT_TOL = 1e-12
 #: hold three sums of this many complex terms each, so they stay below
 #: ~2 MB whatever the number of points.
 BLOCK_TERMS = 1 << 13
+
+#: Stopping rule of the series: a point stops once two consecutive terms of
+#: each of its three sums are at most this times that sum's partial sum.
+REL_TOL = 1e-15
+
+#: Term budget of one series: a series not released within MAX_TERMS + 1
+#: terms, and a polynomial of degree MAX_TERMS or more, fail NoConvergence.
+MAX_TERMS = 10000
+
+#: Modulus up to which a series argument (t, t/(t-1) or 1-t) is summed.
+REGION_CUTOFF = 0.7
 
 #: A failed point of an array, as (key, exception); the key orders failures
 #: the way a point-by-point evaluation would meet them.
@@ -100,21 +114,6 @@ class HypParams:
 
     def truncation_degree(self) -> Optional[int]:
         return self._degree
-
-
-@dataclass(frozen=True)
-class SeriesControl:
-    rel_tol: float = 1e-15
-    max_terms: int = 10000
-    region_cutoff: float = 0.7
-
-    def __post_init__(self):
-        if not self.rel_tol > 0:
-            raise ValueError("rel_tol must be positive")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be at least 1")
-        if not 0.0 < self.region_cutoff < 1.0:
-            raise ValueError("region_cutoff must lie in (0, 1)")
 
 
 class EvalStrategy(Enum):
@@ -183,17 +182,17 @@ def _table_length(n_terms: int) -> int:
     return max(64, 1 << (n_terms - 1).bit_length())
 
 
-def _initial_terms(radius: float, ctrl: SeriesControl) -> int:
+def _initial_terms(radius: float) -> int:
     """Terms summed first for arguments of modulus <= radius: twice the
-    count after which radius^n falls below rel_tol, plus 10.  Over the
+    count after which radius^n falls below REL_TOL, plus 10.  Over the
     parameters and points of the benchmark's eval workloads (14k series
     points) the stopping rule released every point by then.  It releases a
     point only against its own partial sums, and a point it has not
     released is summed again with four times the terms."""
     if radius == 0:
-        return min(3, ctrl.max_terms + 1)
-    n_terms = 2 * math.log(ctrl.rel_tol) / math.log(radius) + 10
-    return int(min(n_terms, ctrl.max_terms + 1))
+        return min(3, MAX_TERMS + 1)
+    n_terms = 2 * math.log(REL_TOL) / math.log(radius) + 10
+    return int(min(n_terms, MAX_TERMS + 1))
 
 
 def _block_sums(rows: np.ndarray, w: np.ndarray, rel_tol: Optional[float]):
@@ -220,47 +219,52 @@ def _block_sums(rows: np.ndarray, w: np.ndarray, rel_tol: Optional[float]):
     return sums[every, :, stop + 2].T, both[every, stop]
 
 
-def _block_jets(p: HypParams, w: np.ndarray, n_terms: int, ctrl: SeriesControl,
+def _block_jets(p: HypParams, w: np.ndarray, n_terms: int,
                 shift: Optional[complex]):
     """Sums of one block of points, and the position of the first point the
-    stopping rule has not released within max_terms terms, or None.  A
+    stopping rule has not released within MAX_TERMS + 1 terms, or None.  A
     truncating series sums exactly its n_terms = k+1 terms.  Points not
     released are summed again with four times the terms, in blocks of at
     most BLOCK_TERMS terms again."""
     if p.truncation_degree() is not None:
         return _block_sums(_jet_coefficients(p, n_terms, shift), w, None)[0], None
     rows = _jet_coefficients(p, _table_length(n_terms), shift)[:, :n_terms]
-    sums, done = _block_sums(rows, w, ctrl.rel_tol)
+    sums, done = _block_sums(rows, w, REL_TOL)
     if all_of(done):
         return sums, None
     retry = np.flatnonzero(~done)
-    cap = ctrl.max_terms + 1
+    cap = MAX_TERMS + 1
     if n_terms >= cap:
         return sums, int(retry[0])
     more = min(cap, 4 * n_terms)
     step = max(1, BLOCK_TERMS // more)
     for lo in range(0, len(retry), step):
         idx = retry[lo:lo + step]
-        sums[:, idx], stuck = _block_jets(p, w[idx], more, ctrl, shift)
+        sums[:, idx], stuck = _block_jets(p, w[idx], more, shift)
         if stuck is not None:
             return sums, int(idx[stuck])
     return sums, None
 
 
-def series_jets(p: HypParams, w, ctrl: SeriesControl = SeriesControl(),
-                shift: Optional[complex] = None):
+def series_jets(p: HypParams, w, shift: Optional[complex] = None):
     """(S, S', S'') of the Gauss series at every w of a 1-D array, or with a
     shift s the sums w^-s (w^s S), w^(1-s) (w^s S)' and w^(2-s) (w^s S)''.
 
     Returns a (3, n) array and the fault of the first point that fails, as
     (index, exception), or None.  |w| < 1 is required unless the series
-    truncates; a truncating series sums exactly its k+1 terms at any w.
-    Points are summed in blocks of at most BLOCK_TERMS terms."""
+    truncates; a truncating series sums exactly its k+1 terms at any w, and
+    one of more than MAX_TERMS terms fails at its first point.  Points are
+    summed in blocks of at most BLOCK_TERMS terms."""
     w = np.asarray(w, dtype=complex)
     count, fault = len(w), None
     k = p.truncation_degree()
     if k is not None:
         n_terms = k + 1
+        if n_terms > MAX_TERMS:
+            # the values of a failed array are not used: sum no point
+            count, n_terms = 0, 1
+            fault = (0, NoConvergence(f"series for {p} is a polynomial of degree "
+                                      f"{k:.6g}, beyond the budget of {MAX_TERMS} terms"))
     else:
         radius = np.abs(w)
         largest = float(np.maximum.reduce(radius, initial=0.0))
@@ -271,27 +275,27 @@ def series_jets(p: HypParams, w, ctrl: SeriesControl = SeriesControl(),
                                           f"truncation applies"))
             # the values of a failed array are not used: stop at the failure
             largest = float(np.maximum.reduce(radius[:count], initial=0.0))
-        n_terms = _initial_terms(largest, ctrl)
+        n_terms = _initial_terms(largest)
     step = max(1, BLOCK_TERMS // n_terms)
     if count == len(w) <= step:
-        sums, stuck = _block_jets(p, w, n_terms, ctrl, shift)
+        sums, stuck = _block_jets(p, w, n_terms, shift)
         if stuck is None:
             return sums, None
     out = np.zeros((3, len(w)), dtype=complex)
     for lo in range(0, count, step):
         block = slice(lo, min(lo + step, count))
-        out[:, block], stuck = _block_jets(p, w[block], n_terms, ctrl, shift)
+        out[:, block], stuck = _block_jets(p, w[block], n_terms, shift)
         if stuck is not None:
             i = lo + stuck
             return out, earliest(fault, (i, NoConvergence(
                 f"series for {p} at w={complex(w[i])} did not converge within "
-                f"{ctrl.max_terms} terms")))
+                f"{MAX_TERMS} terms")))
     return out, fault
 
 
 # -- region policy ------------------------------------------------------------
 
-def _regions(p: HypParams, t: np.ndarray, ctrl: SeriesControl):
+def _regions(p: HypParams, t: np.ndarray):
     """Strategy code of every t and the mask of the points on the branch
     cut, which only a truncating series is evaluated on.  The mask is None
     when every point takes the same strategy and none is on the cut."""
@@ -299,7 +303,7 @@ def _regions(p: HypParams, t: np.ndarray, ctrl: SeriesControl):
     if p.truncation_degree() is not None:
         codes.fill(_POLYNOMIAL)
         return codes, None
-    cut = ctrl.region_cutoff
+    cut = REGION_CUTOFF
     mod_t = np.abs(t)
     direct = mod_t <= cut
     if all_of(direct):
@@ -325,17 +329,16 @@ def _regions(p: HypParams, t: np.ndarray, ctrl: SeriesControl):
     return codes, on_cut
 
 
-def select_strategy(p: HypParams, t: complex,
-                    ctrl: SeriesControl = SeriesControl()) -> EvalStrategy:
+def select_strategy(p: HypParams, t: complex) -> EvalStrategy:
     """Region policy choosing how F(p; t) will be computed."""
-    return _STRATEGIES[_regions(p, np.array([complex(t)]), ctrl)[0][0]]
+    return _STRATEGIES[_regions(p, np.array([complex(t)]))[0][0]]
 
 
-def evaluable(p: HypParams, t, ctrl: SeriesControl = SeriesControl()) -> np.ndarray:
+def evaluable(p: HypParams, t) -> np.ndarray:
     """Mask of the points of a 1-D array of t that gauss_2f1_jets evaluates:
     a strategy reaches them and, unless the series truncates, they are off
     the branch cut."""
-    codes, on_cut = _regions(p, np.asarray(t, dtype=complex), ctrl)
+    codes, on_cut = _regions(p, np.asarray(t, dtype=complex))
     reached = codes != _UNREACHABLE
     return reached if on_cut is None else reached & ~on_cut
 
@@ -350,14 +353,14 @@ def _region_error(t: complex, on_cut: bool) -> Exception:
 
 # -- strategies -----------------------------------------------------------------
 
-def _pfaff_jets(p: HypParams, t: np.ndarray, ctrl: SeriesControl, on_alpha: bool):
+def _pfaff_jets(p: HypParams, t: np.ndarray, on_alpha: bool):
     """F = (1-t)^-a G(t/(t-1)), with a = alpha or beta and G the series at
     the parameters Pfaff's transform gives; F', F'' by the chain rule."""
     if on_alpha:
         a, q = p.alpha, HypParams(p.alpha, p.gamma - p.beta, p.gamma)
     else:
         a, q = p.beta, HypParams(p.gamma - p.alpha, p.beta, p.gamma)
-    g, fault = series_jets(q, t / (t - 1), ctrl)
+    g, fault = series_jets(q, t / (t - 1))
     u = principal_power(1 - t, -a)
     v = 1 / (1 - t)
     return np.array([
@@ -417,16 +420,16 @@ def _connection_coefficients(p: HypParams) -> Tuple[complex, complex]:
     return c1, c2
 
 
-def _connection_jets(p: HypParams, t: np.ndarray, ctrl: SeriesControl):
+def _connection_jets(p: HypParams, t: np.ndarray):
     """F = c1 G(1-t) + c2 (1-t)^s H(1-t), s = gamma - alpha - beta, with G
     and H the two series of the connection formula; F', F'' by the chain
     rule, the derivatives of (1-t)^s H summed as one series each."""
     s = p.gamma - p.alpha - p.beta
     c1, c2 = _connection_coefficients(p)
     w = 1 - t
-    g, fault_g = series_jets(HypParams(p.alpha, p.beta, 1 - s), w, ctrl)
+    g, fault_g = series_jets(HypParams(p.alpha, p.beta, 1 - s), w)
     h, fault_h = series_jets(HypParams(p.gamma - p.alpha, p.gamma - p.beta, 1 + s),
-                             w, ctrl, shift=s)
+                             w, shift=s)
     ws = c2 * principal_power(w, s)
     v = 1 / w
     return np.array([
@@ -445,7 +448,7 @@ _JETS = {
 }
 
 
-def gauss_2f1_jets(p: HypParams, t, ctrl: SeriesControl = SeriesControl()):
+def gauss_2f1_jets(p: HypParams, t):
     """(F, F', F'') on the principal branch at every t of a 1-D array.
 
     Returns a (3, n) array and the fault of the first point that fails, as
@@ -454,9 +457,9 @@ def gauss_2f1_jets(p: HypParams, t, ctrl: SeriesControl = SeriesControl()):
     t = np.asarray(t, dtype=complex)
     if not len(t):
         return np.zeros((3, 0), dtype=complex), None
-    codes, on_cut = _regions(p, t, ctrl)
+    codes, on_cut = _regions(p, t)
     if on_cut is None:
-        return _JETS[codes[0]](p, t, ctrl)
+        return _JETS[codes[0]](p, t)
     jets = np.zeros((3, len(t)), dtype=complex)
     bad = on_cut | (codes == _UNREACHABLE)
     faults = []
@@ -468,10 +471,10 @@ def gauss_2f1_jets(p: HypParams, t, ctrl: SeriesControl = SeriesControl()):
         # the values of a failed array are not used: stop at the failure
         bad[i:] = True
     elif all_of(codes == codes[0]):
-        return _JETS[codes[0]](p, t, ctrl)
+        return _JETS[codes[0]](p, t)
     for code in np.unique(codes[~bad]).tolist():
         idx = np.flatnonzero((codes == code) & ~bad)
-        jets[:, idx], fault = _JETS[code](p, t[idx], ctrl)
+        jets[:, idx], fault = _JETS[code](p, t[idx])
         if fault is not None:
             faults.append((int(idx[fault[0]]), fault[1]))
     return jets, earliest(*faults)
@@ -485,31 +488,17 @@ def _first_point(values: np.ndarray, fault: Fault) -> list:
     return values[:, 0].tolist()
 
 
-def raw_series(p: HypParams, w: complex,
-               ctrl: SeriesControl = SeriesControl()) -> complex:
+def raw_series(p: HypParams, w: complex) -> complex:
     """Plain series sum; |w| < 1 required unless the series truncates."""
-    return _first_point(*series_jets(p, [complex(w)], ctrl))[0]
+    return _first_point(*series_jets(p, [complex(w)]))[0]
 
 
-def gauss_2f1_jet(p: HypParams, t: complex,
-                  ctrl: SeriesControl = SeriesControl()):
+def gauss_2f1_jet(p: HypParams, t: complex):
     """(F, F', F'') at t; the workhorse for chain-rule evaluations."""
-    return tuple(_first_point(*gauss_2f1_jets(p, [complex(t)], ctrl)))
+    return tuple(_first_point(*gauss_2f1_jets(p, [complex(t)])))
 
 
-def gauss_2f1(p: HypParams, t: complex,
-              ctrl: SeriesControl = SeriesControl()) -> complex:
+def gauss_2f1(p: HypParams, t: complex) -> complex:
     """F(alpha, beta, gamma; t) on the principal branch."""
-    return gauss_2f1_jet(p, t, ctrl)[0]
+    return gauss_2f1_jet(p, t)[0]
 
-
-def gauss_2f1_derivative(p: HypParams, t: complex,
-                         ctrl: SeriesControl = SeriesControl()) -> complex:
-    """dF/dt, from the same one-pass jet as F."""
-    return gauss_2f1_jet(p, t, ctrl)[1]
-
-
-def gauss_2f1_second_derivative(p: HypParams, t: complex,
-                                ctrl: SeriesControl = SeriesControl()) -> complex:
-    """d2F/dt2, from the same one-pass jet as F."""
-    return gauss_2f1_jet(p, t, ctrl)[2]

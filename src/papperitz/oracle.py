@@ -6,45 +6,59 @@ genuine two-sided check.
 """
 
 import cmath
+import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Sequence, Tuple
 
 from .closed_form import DerivedParams, EquationParams, Jet2, solution_jets
-from .errors import NonFiniteSolution, PathTooCloseToSingularity, StepLimitExceeded
-from .hypergeom import SeriesControl
+from .errors import (
+    NonFinitePath,
+    NonFiniteSolution,
+    PathTooCloseToSingularity,
+    StepLimitExceeded,
+)
 
 _SINGULARITIES = (1j, -1j)
 
+#: Least distance a path keeps from each singular point.
+MIN_SINGULARITY_DISTANCE = 0.1
+
+
+def _modulus(x: complex) -> float:
+    """|x|, or inf where it is larger than the largest float."""
+    return math.hypot(x.real, x.imag)
+
 
 def _segment_distance(z0: complex, z1: complex, w: complex) -> float:
-    """Distance from point w to the segment [z0, z1]."""
+    """Distance from point w to the segment [z0, z1] of finite length, or
+    inf where it is larger than the largest float: no square is formed."""
     d = z1 - z0
-    L2 = abs(d) ** 2
-    if L2 == 0.0:
-        return abs(w - z0)
-    s = ((w - z0) * d.conjugate()).real / L2
-    s = min(1.0, max(0.0, s))
-    return abs(z0 + s * d - w)
+    length = _modulus(d)
+    if length == 0.0:
+        return _modulus(w - z0)
+    u = d / length
+    s = min(length, max(0.0, ((w - z0) * u.conjugate()).real))
+    return _modulus(z0 + s * u - w)
 
 
 @dataclass(frozen=True)
 class PathSpec:
-    """Polyline in the z-plane kept clear of the singular points +-i."""
+    """Polyline in the z-plane kept clear of the singular points +-i, with
+    segments of finite length."""
 
     waypoints: Tuple[complex, ...]
-    min_singularity_distance: float = 0.1
 
-    def __init__(self, waypoints: Sequence[complex],
-                 min_singularity_distance: float = 0.1):
+    def __init__(self, waypoints: Sequence[complex]):
         object.__setattr__(self, "waypoints", tuple(complex(w) for w in waypoints))
-        object.__setattr__(self, "min_singularity_distance",
-                           float(min_singularity_distance))
         if len(self.waypoints) < 2:
             raise ValueError("a path needs at least two waypoints")
         for z0, z1 in zip(self.waypoints, self.waypoints[1:]):
+            if not math.isfinite(_modulus(z1 - z0)):
+                raise NonFinitePath(f"segment {z0} -> {z1} is longer than the "
+                                    f"largest float")
             for s in _SINGULARITIES:
                 dist = _segment_distance(z0, z1, s)
-                if dist < self.min_singularity_distance:
+                if dist < MIN_SINGULARITY_DISTANCE:
                     raise PathTooCloseToSingularity(
                         f"segment {z0} -> {z1} passes within {dist:.4g} "
                         f"of the singular point {s}"
@@ -248,8 +262,7 @@ def integrate_ivp(p: EquationParams, path: PathSpec,
 
 def compare_closed_numeric(p: EquationParams, d: DerivedParams,
                            c1: complex, c2: complex, path: PathSpec,
-                           ctrl: IntegrationControl = IntegrationControl(),
-                           series_ctrl: SeriesControl = SeriesControl()
+                           ctrl: IntegrationControl = IntegrationControl()
                            ) -> VerifyReport:
     """Seed the integrator with the closed-form jet at the path start and
     compare values at every waypoint.
@@ -258,7 +271,7 @@ def compare_closed_numeric(p: EquationParams, d: DerivedParams,
     jet is the same alone or in the array.  A failure at the start is
     raised before integrating, one further along after it, as a
     point-by-point evaluation would raise them."""
-    closed, fault = solution_jets(d, p, c1, c2, path.waypoints, series_ctrl)
+    closed, fault = solution_jets(d, c1, c2, path.waypoints)
     if fault is not None and fault[0] == 0:
         raise fault[1]
     numeric = integrate_ivp(p, path, complex(closed.y[0]), complex(closed.dy[0]),

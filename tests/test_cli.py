@@ -279,13 +279,9 @@ def test_eval_points_nonfinite_value(tmp_path, capsys, bad):
 
 
 def test_eval_no_convergence_exit_3(capsys, monkeypatch):
-    import functools
+    from papperitz import hypergeom
 
-    from papperitz.hypergeom import SeriesControl
-
-    tiny = SeriesControl(max_terms=5)
-    monkeypatch.setattr(cli, "solution_jets",
-                        functools.partial(cli.solution_jets, ctrl=tiny))
+    monkeypatch.setattr(hypergeom, "MAX_TERMS", 5)
     code, out, err = run_cli(capsys, "eval", *EVAL_ABC, "--z", "0.5,1.5")
     assert code == 3 and out == ""
     assert err.startswith("papperitz: error:") and len(err.splitlines()) == 1
@@ -463,3 +459,40 @@ def test_points_non_finite_row_decides_in_order(tmp_path, capsys):
     assert err.startswith("point z=-1j not evaluable")
     code, out, _ = run_cli(capsys, *args, _points_file(tmp_path, ["1,0", "2,0"]))
     assert code == 0 and len(out.splitlines()) == 3
+
+
+VERIFY_ABC = ("--a", "1,0", "--b", "0,0", "--c", "1,0")
+
+#: Inputs that ended in a traceback, or in a verdict on a bad option value,
+#: with the exit code each now gives.
+BAD_INPUT_CASES = [
+    (("selftest", "--seed", "-1", "--quick"), 1),
+    (("verify", *VERIFY_ABC, "--seed", "-1"), 1),
+    (("verify", *VERIFY_ABC, "--tol", "nan"), 1),
+    (("verify", *VERIFY_ABC, "--tol", "-1"), 1),
+    (("verify", *VERIFY_ABC, "--tol", "inf"), 1),
+    # (1-a)^2 overflows
+    (("params", "--a", "1e200,0", "--b", "0,0", "--c", "0,0"), 3),
+    # delta is infinite
+    (("params", "--a", "0,0", "--b", "1e308,0", "--c", "0,0", "--json"), 3),
+    (("eval", "--a", "0,0", "--b", "1e308,0", "--c", "0,0", "--z", "0.5,1"), 3),
+    (("verify", "--a", "0,0", "--b", "1e308,0", "--c", "0,0"), 3),
+    # a segment of length 1e300, then one longer than the largest float
+    (("integrate", *ZERO_ABC, "--path", "0,0;1e300,0", "--y0", "1,0",
+      "--dy0", "0,0"), 3),
+    (("integrate", *ZERO_ABC, "--path", "-1e308,0;1e308,0", "--y0", "1,0",
+      "--dy0", "0,0"), 3),
+    # the second member is a polynomial of degree ~2e150
+    (("eval", "--a", "0,0", "--b", "1e300,0", "--c", "0,0", "--c2", "1,0",
+      "--z", "0.5,1"), 3),
+]
+
+
+@pytest.mark.parametrize("args,expected", BAD_INPUT_CASES,
+                         ids=[" ".join(args) for args, _ in BAD_INPUT_CASES])
+def test_bad_input_exits_with_one_line(capsys, args, expected):
+    code, out, err = run_cli(capsys, *args)
+    assert code == expected and out == ""
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    if expected == 1:
+        assert err.startswith("papperitz: error: --")

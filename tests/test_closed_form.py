@@ -15,7 +15,11 @@ from papperitz.closed_form import (
     fit_ivp,
     wronskian,
 )
-from papperitz.errors import DegenerateBasis, DegenerateWronskian
+from papperitz.errors import (
+    DegenerateBasis,
+    DegenerateWronskian,
+    NonFiniteParameters,
+)
 from papperitz.mobius import principal_power
 from papperitz.oracle import residual_scale, residual_z
 from papperitz.selftest import (
@@ -125,7 +129,7 @@ def test_second_basis_invalid_detection():
 def test_eval_basis_elementary():
     p = EquationParams(0, 0, 0)
     d = derive_params(p)
-    j = eval_basis(d, p, BasisMember.FIRST, 3.0)
+    j = eval_basis(d, BasisMember.FIRST, 3.0)
     assert abs(j.y - (-0.5 - 1.5j)) < 1e-13  # (z-i)/(2i) at z=3
     assert abs(j.dy - 1 / 2j) < 1e-13
     assert abs(j.d2y) < 1e-13
@@ -135,7 +139,7 @@ def test_eval_basis_constant_member():
     p = EquationParams(0.5, 0, 0)
     d = derive_params(p)
     for z in (0.5j, 1 + 1j, -0.3 + 2j):
-        j = eval_basis(d, p, BasisMember.SECOND, z)
+        j = eval_basis(d, BasisMember.SECOND, z)
         assert abs(j.y - 1) < 1e-14
         assert abs(j.dy) < 1e-14
         assert abs(j.d2y) < 1e-14
@@ -144,7 +148,7 @@ def test_eval_basis_constant_member():
 def test_eval_basis_polynomial_case():
     p = EquationParams(2, 3, 0)
     d = derive_params(p)
-    j = eval_basis(d, p, BasisMember.FIRST, 0.0)  # t = -1
+    j = eval_basis(d, BasisMember.FIRST, 0.0)  # t = -1
     # beta = -1: F truncates to 1 - alpha t / gamma
     t = -1.0
     expected = principal_power(t, d.lam) * (1 - d.alpha * t / d.gamma)
@@ -155,9 +159,9 @@ def test_eval_basis_polynomial_case():
 def test_eval_solution_linearity():
     p = EquationParams(0, 0, 0)
     d = derive_params(p)
-    j = eval_solution(d, p, 0, 0, 2.0 + 1j)
+    j = eval_solution(d, 0, 0, 2.0 + 1j)
     assert j.y == 0 and j.dy == 0 and j.d2y == 0
-    j = eval_solution(d, p, 2j, 0, 3.0)
+    j = eval_solution(d, 2j, 0, 3.0)
     assert abs(j.y - (3 - 1j)) < 1e-13
 
 
@@ -168,9 +172,9 @@ def test_eval_solution_superposition():
         z = sample_reachable_point(d, rng)
         c1 = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         c2 = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        j = eval_solution(d, p, c1, c2, z)
-        j1 = eval_solution(d, p, 1, 0, z)
-        j2 = eval_solution(d, p, 0, 1, z)
+        j = eval_solution(d, c1, c2, z)
+        j1 = eval_solution(d, 1, 0, z)
+        j2 = eval_solution(d, 0, 1, z)
         for got, a1, a2 in ((j.y, j1.y, j2.y), (j.dy, j1.dy, j2.dy),
                             (j.d2y, j1.d2y, j2.d2y)):
             want = c1 * a1 + c2 * a2
@@ -184,7 +188,7 @@ def test_closed_form_residuals():
         for _ in range(5):
             z = sample_reachable_point(d, rng)
             for which in BasisMember:
-                j = eval_basis(d, p, which, z)
+                j = eval_basis(d, which, z)
                 assert abs(residual_z(p, j, z)) <= 1e-8 * residual_scale(z, j)
 
 
@@ -211,7 +215,7 @@ def test_elementary_power_family():
 def test_wronskian_nonzero_generic():
     p = EquationParams(1, 0, 1)
     d = derive_params(p)
-    assert abs(wronskian(d, p, 2j)) > 1e-8
+    assert abs(wronskian(d, 2j)) > 1e-8
 
 
 def test_wronskian_vanishes_toward_degeneracy():
@@ -221,7 +225,7 @@ def test_wronskian_vanishes_toward_degeneracy():
         b = (delta**2 - 1) / 4  # makes Delta = delta for a = 0, c = 0
         p = EquationParams(0, b, 0)
         d = derive_params(p)
-        mags.append(abs(wronskian(d, p, z)))
+        mags.append(abs(wronskian(d, z)))
     assert mags[0] > mags[1] > mags[2]
 
 
@@ -231,8 +235,8 @@ def test_wronskian_abel_identity():
         p, d = random_generic_equation(rng)
         z1 = 1.0 + 1.5j
         z2 = 1.2 + 1.5j
-        w1 = wronskian(d, p, z1)
-        w2 = wronskian(d, p, z2)
+        w1 = wronskian(d, z1)
+        w2 = wronskian(d, z2)
         expected = principal_power((1 + z1 * z1) / (1 + z2 * z2), p.a)
         assert abs(w2 / w1 - expected) <= 1e-8 * max(abs(expected), 1.0)
 
@@ -244,8 +248,8 @@ def test_fit_ivp_round_trip():
         z0 = sample_reachable_point(d, rng)
         c1 = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         c2 = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        jet = eval_solution(d, p, c1, c2, z0)
-        g1, g2 = fit_ivp(d, p, z0, jet.y, jet.dy)
+        jet = eval_solution(d, c1, c2, z0)
+        g1, g2 = fit_ivp(d, z0, jet.y, jet.dy)
         scale = max(abs(c1), abs(c2), 1.0)
         assert abs(g1 - c1) <= 1e-10 * scale
         assert abs(g2 - c2) <= 1e-10 * scale
@@ -255,10 +259,10 @@ def test_fit_ivp_constant_solution():
     p = EquationParams(0.5, 0, 0)
     d = derive_params(p)
     z0 = 0.5j  # t real in (-1, 0)
-    c1, c2 = fit_ivp(d, p, z0, 1.0, 0.0)
+    c1, c2 = fit_ivp(d, z0, 1.0, 0.0)
     assert abs(c1) <= 1e-12
     assert abs(c2 - 1) <= 1e-12
-    jet = eval_solution(d, p, c1, c2, z0)
+    jet = eval_solution(d, c1, c2, z0)
     assert abs(jet.y - 1) <= 1e-12 and abs(jet.dy) <= 1e-12
 
 
@@ -266,16 +270,16 @@ def test_fit_ivp_degenerate():
     p = EquationParams(0, -0.25, 0)
     d = derive_params(p)
     with pytest.raises(DegenerateWronskian):
-        fit_ivp(d, p, 2j, 1.0, 0.0)
+        fit_ivp(d, 2j, 1.0, 0.0)
 
 
 def test_repeated_exponent_blocks_second_member():
     p = EquationParams(0, -0.25, 0)
     d = derive_params(p)
     with pytest.raises(DegenerateBasis):
-        eval_basis(d, p, BasisMember.SECOND, 2j)
+        eval_basis(d, BasisMember.SECOND, 2j)
     # first member still evaluates and solves the equation
-    j = eval_basis(d, p, BasisMember.FIRST, 2j)
+    j = eval_basis(d, BasisMember.FIRST, 2j)
     assert abs(residual_z(p, j, 2j)) <= 1e-8 * residual_scale(2j, j)
 
 
@@ -299,10 +303,19 @@ def test_is_reachable_matches_evaluation():
         p, d = random_generic_equation(rng)
         for z in grid:
             try:
-                eval_solution(d, p, 1, 1, z)
+                eval_solution(d, 1, 1, z)
                 excluded = False
             except (EvaluationUnreachable, OnBranchCut, PoleAtMinusI):
                 excluded = True
             except ZeroBaseNonpositiveExponent:
                 excluded = False  # z = i is reached; its powers have no value
             assert is_reachable(d, z) is (not excluded), z
+
+
+def test_derive_params_overflow_is_a_structured_error():
+    # (1-a)^2 overflows, then 4(b + ic) and 4(b - ic)
+    for a, b, c in ((1e200, 0, 0), (0, 1e308, 0), (0, 0, 1e308)):
+        with pytest.raises(NonFiniteParameters):
+            derive_params(EquationParams(a, b, c))
+    d = derive_params(EquationParams(0, 1e300, 0))
+    assert d.delta == 2e150 and d.gamma == 2e150

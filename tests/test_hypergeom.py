@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from papperitz.errors import (
-    DegenerateGamma,
     EvaluationUnreachable,
     InvalidGamma,
     NoConvergence,
@@ -13,11 +12,8 @@ from papperitz.errors import (
 from papperitz.hypergeom import (
     EvalStrategy,
     HypParams,
-    SeriesControl,
     gauss_2f1,
-    gauss_2f1_derivative,
     gauss_2f1_jet,
-    gauss_2f1_second_derivative,
     raw_series,
     select_strategy,
 )
@@ -46,21 +42,11 @@ def test_params_validation():
         HypParams(-5.0, 2.0, -3.0)
 
 
-def test_series_control_validation():
-    with pytest.raises(ValueError):
-        SeriesControl(rel_tol=0)
-    with pytest.raises(ValueError):
-        SeriesControl(max_terms=0)
-    with pytest.raises(ValueError):
-        SeriesControl(region_cutoff=1.0)
-
-
 def test_raw_series_values():
-    ctrl = SeriesControl()
-    assert raw_series(HypParams(1.3 + 1j, -0.2, 0.7), 0.0, ctrl) == 1
+    assert raw_series(HypParams(1.3 + 1j, -0.2, 0.7), 0.0) == 1
     # (1-w)^2 at w=0.3, three-term truncation
-    assert abs(raw_series(HypParams(-2, 1, 1), 0.3, ctrl) - 0.49) < 1e-15
-    assert abs(raw_series(HypParams(1, 1, 2), 0.5, ctrl) - LOG_F) < 1e-14
+    assert abs(raw_series(HypParams(-2, 1, 1), 0.3) - 0.49) < 1e-15
+    assert abs(raw_series(HypParams(1, 1, 2), 0.5) - LOG_F) < 1e-14
 
 
 def test_raw_series_outside_disk():
@@ -71,18 +57,17 @@ def test_raw_series_outside_disk():
 
 
 def test_select_strategy_regions():
-    ctrl = SeriesControl()
     p = HypParams(0.3 + 0.1j, 1.2, 0.8 - 0.4j)
-    assert select_strategy(p, 0.1, ctrl) is EvalStrategy.DIRECT_SERIES
+    assert select_strategy(p, 0.1) is EvalStrategy.DIRECT_SERIES
     # |t|=9, |t/(t-1)|=0.9, |1-t|=10: nothing applies
-    assert select_strategy(p, -9.0, ctrl) is EvalStrategy.UNREACHABLE
-    assert select_strategy(HypParams(-3, 1.2, 0.8), 123.0, ctrl) \
+    assert select_strategy(p, -9.0) is EvalStrategy.UNREACHABLE
+    assert select_strategy(HypParams(-3, 1.2, 0.8), 123.0) \
         is EvalStrategy.POLYNOMIAL_TRUNCATION
     # Pfaff region: t/(t-1) small for t near large negative
-    assert select_strategy(p, -1.5, ctrl) in (EvalStrategy.PFAFF_ON_ALPHA,
-                                              EvalStrategy.PFAFF_ON_BETA)
+    assert select_strategy(p, -1.5) in (EvalStrategy.PFAFF_ON_ALPHA,
+                                        EvalStrategy.PFAFF_ON_BETA)
     # 1-t region, non-integer gamma-alpha-beta
-    assert select_strategy(p, 0.9 + 0.2j, ctrl) \
+    assert select_strategy(p, 0.9 + 0.2j) \
         is EvalStrategy.ONE_MINUS_T_CONNECTION
 
 
@@ -110,18 +95,17 @@ def test_gauss_2f1_branch_cut():
 
 def test_derivative_values():
     p = HypParams(1.5 - 0.5j, 0.7, 2.2 + 1j)
-    at0 = gauss_2f1_derivative(p, 0.0)
+    at0 = gauss_2f1_jet(p, 0.0)[1]
     assert abs(at0 - p.alpha * p.beta / p.gamma) < 1e-14
-    assert abs(gauss_2f1_derivative(HypParams(1, 1, 2), 0.5) - LOG_F1) < 1e-13
+    assert abs(gauss_2f1_jet(HypParams(1, 1, 2), 0.5)[1] - LOG_F1) < 1e-13
 
 
 def test_second_derivative_values():
     p = HypParams(1.5 - 0.5j, 0.7, 2.2 + 1j)
     expected = (p.alpha * (p.alpha + 1) * p.beta * (p.beta + 1)
                 / (p.gamma * (p.gamma + 1)))
-    assert abs(gauss_2f1_second_derivative(p, 0.0) - expected) < 1e-13
-    assert abs(gauss_2f1_second_derivative(HypParams(1, 1, 2), 0.5)
-               - LOG_F2) < 1e-12
+    assert abs(gauss_2f1_jet(p, 0.0)[2] - expected) < 1e-13
+    assert abs(gauss_2f1_jet(HypParams(1, 1, 2), 0.5)[2] - LOG_F2) < 1e-12
 
 
 def test_degenerate_gamma():
@@ -130,7 +114,7 @@ def test_degenerate_gamma():
     with pytest.raises(InvalidGamma):
         HypParams(0.5, 0.7, 1e-12)
     # escaped construction (alpha = 0) keeps the derivative finite
-    assert gauss_2f1_derivative(HypParams(0, 0.7, 1e-12), 0.1) == 0
+    assert gauss_2f1_jet(HypParams(0, 0.7, 1e-12), 0.1)[1] == 0
 
 
 def test_derivative_matches_finite_differences():
@@ -141,7 +125,7 @@ def test_derivative_matches_finite_differences():
         r = 0.5 * math.sqrt(rng.uniform(0, 1))
         t = r * np.exp(1j * rng.uniform(-np.pi, np.pi))
         fd = (gauss_2f1(p, t + h) - gauss_2f1(p, t - h)) / (2 * h)
-        dv = gauss_2f1_derivative(p, t)
+        dv = gauss_2f1_jet(p, t)[1]
         assert abs(dv - fd) <= 1e-6 * max(abs(dv), 1.0)
 
 
@@ -154,7 +138,7 @@ def test_second_derivative_matches_finite_differences():
         t = r * np.exp(1j * rng.uniform(-np.pi, np.pi))
         fd = (gauss_2f1(p, t + h) - 2 * gauss_2f1(p, t)
               + gauss_2f1(p, t - h)) / h**2
-        dv = gauss_2f1_second_derivative(p, t)
+        dv = gauss_2f1_jet(p, t)[2]
         assert abs(dv - fd) <= 1e-5 * max(abs(dv), 1.0)
 
 
@@ -207,11 +191,13 @@ def test_pfaff_polynomial_escape():
     assert abs(gauss_2f1(p, t) - 1 / (1 - t)) < 1e-14
 
 
-def test_one_minus_t_connection_against_series():
+def test_one_minus_t_connection_against_series(monkeypatch):
     # cross-check the connection formula against the direct series where
     # both converge: t near 1 but still inside the unit disk
+    from papperitz import hypergeom
+
+    monkeypatch.setattr(hypergeom, "REGION_CUTOFF", 0.45)
     rng = np.random.default_rng(13)
-    tight = SeriesControl(region_cutoff=0.45)
     checked = 0
     while checked < 50:
         p = random_hyp_params(rng)
@@ -220,10 +206,10 @@ def test_one_minus_t_connection_against_series():
         if abs(s.real - round(s.real)) < 0.15 and abs(s.imag) < 0.15:
             continue
         t = complex(rng.uniform(0.75, 0.95), rng.uniform(0.05, 0.25))
-        if select_strategy(p, t, tight) is not EvalStrategy.ONE_MINUS_T_CONNECTION:
+        if select_strategy(p, t) is not EvalStrategy.ONE_MINUS_T_CONNECTION:
             continue
         direct = raw_series(p, t)
-        conn = gauss_2f1(p, t, tight)
+        conn = gauss_2f1(p, t)
         assert abs(direct - conn) <= 1e-9 * max(abs(direct), 1.0)
         checked += 1
 
@@ -265,7 +251,8 @@ def test_kernel_row_independent_of_batch_order_blocks_and_cache(monkeypatch):
         assert gauss_2f1_jet(p, complex(t[0])) == tuple(whole[:, 0].tolist())
 
 
-def test_kernel_reports_the_first_failing_point():
+def test_kernel_reports_the_first_failing_point(monkeypatch):
+    from papperitz import hypergeom
     from papperitz.hypergeom import gauss_2f1_jets, series_jets
 
     p = HypParams(0.3 + 0.1j, 1.2, 0.8 - 0.4j)
@@ -274,7 +261,8 @@ def test_kernel_reports_the_first_failing_point():
     assert fault[0] == 1 and isinstance(fault[1], EvaluationUnreachable)
     _, fault = gauss_2f1_jets(p, t[[0, 2, 1]])
     assert fault[0] == 1 and isinstance(fault[1], OnBranchCut)
-    _, fault = series_jets(p, np.array([0.5, 0.9, 1.2]), SeriesControl(max_terms=60))
+    monkeypatch.setattr(hypergeom, "MAX_TERMS", 60)
+    _, fault = series_jets(p, np.array([0.5, 0.9, 1.2]))
     assert fault[0] == 1 and isinstance(fault[1], NoConvergence)
 
 
@@ -357,3 +345,21 @@ def test_kernel_sums_again_the_points_it_has_not_released(monkeypatch):
     for x, got in zip(w, whole[0]):
         ref = complex(mpmath.hyp2f1(p.alpha, p.beta, p.gamma, x))
         assert abs(got - ref) <= 1e-12 * abs(ref)
+
+
+def test_polynomial_beyond_the_term_budget_fails_no_convergence(monkeypatch):
+    from papperitz import hypergeom
+    from papperitz.hypergeom import series_jets
+
+    w = np.array([0.5, 2.0])
+    monkeypatch.setattr(hypergeom, "MAX_TERMS", 40)
+    values, fault = series_jets(HypParams(-39, 1.5, 2.5), w)  # 40 terms
+    assert fault is None and np.isfinite(values).all()
+    _, fault = series_jets(HypParams(-40, 1.5, 2.5), w)  # 41 terms
+    assert fault[0] == 0 and isinstance(fault[1], NoConvergence)
+    monkeypatch.undo()
+    # degree ~2e150: refused before any table is built
+    huge = HypParams(1, -2e150, -2e150)
+    with pytest.raises(NoConvergence, match="polynomial of degree 2e"):
+        raw_series(huge, 0.5)
+    assert series_jets(huge, np.zeros(0))[1] is None

@@ -11,6 +11,7 @@ from papperitz.closed_form import (
     eval_solution,
 )
 from papperitz.errors import (
+    NonFinitePath,
     NonFiniteSolution,
     PathTooCloseToSingularity,
     StepLimitExceeded,
@@ -70,7 +71,7 @@ def test_residuals_vanish_together():
         z = sample_reachable_point(d, rng)
         t = z_to_t(z)
         for which in BasisMember:
-            jz = eval_basis(d, p, which, z)
+            jz = eval_basis(d, which, z)
             jt = eval_basis_t_jet(d, which, t)
             assert abs(residual_z(p, jz, z)) <= 1e-8 * residual_scale(z, jz)
             scale_t = (abs(t) ** 2 * abs(1 - t) + 1) * (
@@ -210,9 +211,9 @@ def test_finite_difference_matches_analytic_jets():
         p, d = random_generic_equation(rng)
         z = sample_reachable_point(d, rng)
         which = BasisMember.FIRST if rng.uniform() < 0.5 else BasisMember.SECOND
-        analytic = eval_basis(d, p, which, z)
+        analytic = eval_basis(d, which, z)
         fd = finite_difference_jet(
-            lambda w: eval_basis(d, p, which, w).y, z, 1e-4)
+            lambda w: eval_basis(d, which, w).y, z, 1e-4)
         assert abs(fd.dy - analytic.dy) <= 1e-5 * max(abs(analytic.dy), 1.0)
         assert abs(fd.d2y - analytic.d2y) <= 1e-4 * max(abs(analytic.d2y), 1.0)
         count += 1
@@ -328,11 +329,11 @@ def test_integrate_non_finite_raises():
 
 def _pointwise_compare(p, d, c1, c2, path, ctrl=IntegrationControl()):
     """compare_closed_numeric with one eval_solution call per waypoint."""
-    start_jet = eval_solution(d, p, c1, c2, path.waypoints[0])
+    start_jet = eval_solution(d, c1, c2, path.waypoints[0])
     numeric = integrate_ivp(p, path, start_jet.y, start_jet.dy, ctrl)
     report = VerifyReport()
     for z, y_num, _ in numeric:
-        y_closed = eval_solution(d, p, c1, c2, z).y
+        y_closed = eval_solution(d, c1, c2, z).y
         abs_err = abs(y_closed - y_num)
         rel_err = abs_err / max(abs(y_closed), 1e-300)
         report.samples.append((z, y_closed, y_num, abs_err))
@@ -351,3 +352,44 @@ def test_compare_closed_numeric_matches_pointwise_report():
             want = _pointwise_compare(p, d, 1.0, 0.3, path)
             assert repr(got) == repr(want)
             assert all(type(s[1]) is complex for s in got.samples)
+
+
+def test_path_segments_of_any_finite_length():
+    PathSpec([0, 1e300])
+    PathSpec([1.5e308 + 1.5e308j, 1.6e308 + 1.6e308j])
+    # a long segment passing through +i, measured without a square
+    with pytest.raises(PathTooCloseToSingularity):
+        PathSpec([-1e300 + 1j, 1e300 + 1j])
+    with pytest.raises(NonFinitePath):
+        PathSpec([0, -1e308, 1e308])
+
+
+def _squared_length_distance(z0, z1, w):
+    """Distance from w to [z0, z1] by the squared length, as PathSpec once
+    measured it: the reference for verdicts where it does not overflow."""
+    d = z1 - z0
+    L2 = abs(d) ** 2
+    if L2 == 0.0:
+        return abs(w - z0)
+    s = min(1.0, max(0.0, ((w - z0) * d.conjugate()).real / L2))
+    return abs(z0 + s * d - w)
+
+
+def test_path_verdicts_match_the_squared_length_distance():
+    rng = np.random.default_rng(37)
+    paths = [DEFAULT_PATH, BENCH_PATH]
+    for _ in range(3000):
+        n = int(rng.integers(2, 6))
+        paths.append(tuple(rng.uniform(-3, 3, n) + 1j * rng.uniform(-3, 3, n)))
+    verdicts = set()
+    for waypoints in paths:
+        want = all(_squared_length_distance(z0, z1, s) >= 0.1
+                   for z0, z1 in zip(waypoints, waypoints[1:]) for s in (1j, -1j))
+        try:
+            PathSpec(waypoints)
+            got = True
+        except PathTooCloseToSingularity:
+            got = False
+        assert got == want, waypoints
+        verdicts.add(got)
+    assert verdicts == {True, False}
