@@ -23,15 +23,13 @@ from .hypergeom import (
     select_strategy,
     series_jets,
 )
-from .mobius import d2t_dz2, dt_dz, principal_power, t_to_z, z_to_t
+from .mobius import principal_power
 from .oracle import (
     IntegrationControl,
     PathSpec,
     VerifyReport,
     compare_closed_numeric,
-    finite_difference_jet,
     integrate_ivp,
-    residual_t,
     residual_z,
 )
 
@@ -40,10 +38,8 @@ __all__ = [
     "Jet2", "derive_params", "eval_basis", "eval_solution", "fit_ivp",
     "solution_jets", "wronskian", "EvalStrategy", "HypParams",
     "gauss_2f1", "gauss_2f1_jets", "raw_series", "select_strategy",
-    "series_jets", "d2t_dz2", "dt_dz", "principal_power", "t_to_z",
-    "z_to_t", "IntegrationControl", "PathSpec", "VerifyReport",
-    "compare_closed_numeric", "finite_difference_jet", "integrate_ivp",
-    "residual_t", "residual_z",
+    "series_jets", "principal_power", "IntegrationControl", "PathSpec",
+    "VerifyReport", "compare_closed_numeric", "integrate_ivp", "residual_z",
 ]
 
 __version__ = "0.1.0"

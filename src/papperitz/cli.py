@@ -18,8 +18,15 @@ from typing import List, Optional
 
 import numpy as np
 
-from . import closed_form, selftest
-from .closed_form import DegeneracyClass, EquationParams, derive_params, solution_jets
+from . import selftest
+from .closed_form import (
+    BasisMember,
+    DegeneracyClass,
+    EquationParams,
+    derive_params,
+    eval_basis,
+    solution_jets,
+)
 from .errors import (
     DegenerateBasis,
     DegenerateWronskian,
@@ -35,7 +42,6 @@ from .errors import (
     ZeroBaseNonpositiveExponent,
 )
 from .oracle import (
-    IntegrationControl,
     PathSpec,
     compare_closed_numeric,
     integrate_ivp,
@@ -80,6 +86,11 @@ def _finite_complex(re_text: str, im_text: str, literal: str) -> complex:
 
 def render_complex(x: complex) -> list:
     return [x.real, x.imag]
+
+
+def _equation(args) -> EquationParams:
+    return EquationParams(parse_complex(args.a), parse_complex(args.b),
+                          parse_complex(args.c))
 
 
 def parse_path(text: str) -> List[complex]:
@@ -143,31 +154,6 @@ def _selftest_arguments(sp):
     sp.add_argument("--quick", action="store_true")
 
 
-#: Subcommands: name, help line and the function adding their arguments.
-_COMMANDS = (
-    ("params", "derive hypergeometric parameters", _params_arguments),
-    ("eval", "evaluate the closed-form solution", _eval_arguments),
-    ("verify", "check closed form against the integrator", _verify_arguments),
-    ("integrate", "integrate the ODE along a path", _integrate_arguments),
-    ("selftest", "run the built-in invariant suites", _selftest_arguments),
-)
-
-
-def _build_parser(command: Optional[str] = None) -> _Parser:
-    """The parser, with the arguments of the subcommand `command` only:
-    adding those of all five costs more than a one-point evaluation, and
-    a request parses one subcommand's."""
-    parser = _Parser(prog="papperitz",
-                     description="Closed-form solutions of "
-                                 "(1+z^2)^2 y'' + 2az(1+z^2) y' + 4(b+cz) y = 0")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_line, add_arguments in _COMMANDS:
-        sp = sub.add_parser(name, help=help_line)
-        if name == command:
-            add_arguments(sp)
-    return parser
-
-
 def _derived_dict(d) -> dict:
     return {
         "delta": render_complex(d.delta),
@@ -187,8 +173,7 @@ def _params_dict(p: EquationParams) -> dict:
 
 
 def cmd_params(args) -> int:
-    p = EquationParams(parse_complex(args.a), parse_complex(args.b),
-                       parse_complex(args.c))
+    p = _equation(args)
     d = derive_params(p)
     if args.as_json:
         json.dump({"params": _params_dict(p), "derived": _derived_dict(d)},
@@ -235,8 +220,7 @@ def _eval_points(args) -> List[complex]:
 
 
 def cmd_eval(args) -> int:
-    p = EquationParams(parse_complex(args.a), parse_complex(args.b),
-                       parse_complex(args.c))
+    p = _equation(args)
     c1 = parse_complex(args.c1)
     c2 = parse_complex(args.c2)
     d = derive_params(p)
@@ -290,8 +274,7 @@ def cmd_verify(args) -> int:
     if not (math.isfinite(args.tol) and args.tol >= 0):
         raise UsageError(f"--tol must be a finite number >= 0, got {args.tol}")
     _check_seed(args.seed)
-    p = EquationParams(parse_complex(args.a), parse_complex(args.b),
-                       parse_complex(args.c))
+    p = _equation(args)
     d = derive_params(p)
     if d.degeneracy is not DegeneracyClass.GENERIC:
         print(f"degenerate parameters ({d.degeneracy.value}); "
@@ -302,7 +285,6 @@ def cmd_verify(args) -> int:
         report = compare_closed_numeric(p, d, 1.0, 0.3,
                                         PathSpec(selftest.DEFAULT_PATH))
         max_res_ratio = 0.0
-        from .closed_form import BasisMember, eval_basis
         for _ in range(args.samples):
             z = selftest.sample_reachable_point(d, rng)
             for which in BasisMember:
@@ -321,8 +303,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_integrate(args) -> int:
-    p = EquationParams(parse_complex(args.a), parse_complex(args.b),
-                       parse_complex(args.c))
+    p = _equation(args)
     waypoints = parse_path(args.path)
     try:
         path = PathSpec(waypoints)
@@ -354,21 +335,45 @@ def cmd_selftest(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 
+#: Subcommands: name, and the help line, the function adding the arguments
+#: and the handler of each.
+_COMMANDS = {
+    "params": ("derive hypergeometric parameters", _params_arguments,
+               cmd_params),
+    "eval": ("evaluate the closed-form solution", _eval_arguments, cmd_eval),
+    "verify": ("check closed form against the integrator", _verify_arguments,
+               cmd_verify),
+    "integrate": ("integrate the ODE along a path", _integrate_arguments,
+                  cmd_integrate),
+    "selftest": ("run the built-in invariant suites", _selftest_arguments,
+                 cmd_selftest),
+}
+
+
+def _build_parser(command: Optional[str] = None) -> _Parser:
+    """The parser, with the arguments of the subcommand `command` only:
+    adding those of all five costs more than a one-point evaluation, and
+    a request parses one subcommand's."""
+    parser = _Parser(prog="papperitz",
+                     description="Closed-form solutions of "
+                                 "(1+z^2)^2 y'' + 2az(1+z^2) y' + 4(b+cz) y = 0")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_arguments, _) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_line)
+        if name == command:
+            add_arguments(sp)
+    return parser
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # the top-level parser takes no option values: the first word that is
     # not an option is the subcommand
     command = next((word for word in argv if not word.startswith("-")), None)
     args = _build_parser(command).parse_args(argv)
-    handlers = {
-        "params": cmd_params,
-        "eval": cmd_eval,
-        "verify": cmd_verify,
-        "integrate": cmd_integrate,
-        "selftest": cmd_selftest,
-    }
+    _, _, handler = _COMMANDS[args.command]
     try:
-        return handlers[args.command](args)
+        return handler(args)
     except UsageError as exc:
         print(f"papperitz: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

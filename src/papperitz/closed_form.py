@@ -55,17 +55,12 @@ class BasisMember(Enum):
 
 @dataclass(frozen=True)
 class Jet2:
-    """Value with first and second derivatives, tagged by coordinate; the
-    fields are numbers, or arrays over points for the array functions."""
+    """Value with first and second z-derivatives; the fields are numbers,
+    or arrays over points for the array functions."""
 
     y: complex
     dy: complex
     d2y: complex
-    coord: str = "z"
-
-    def __post_init__(self):
-        if self.coord not in ("z", "t"):
-            raise ValueError(f"coord must be 'z' or 't', got {self.coord!r}")
 
 
 @dataclass(frozen=True)
@@ -225,16 +220,10 @@ def _z_jets(d: DerivedParams, members, z):
     return out, earliest(*faults)
 
 
-def _first_point(jets: np.ndarray, fault, coord: str = "z") -> Jet2:
+def _first_point(jets: np.ndarray, fault) -> Jet2:
     if fault is not None:
         raise fault[1]
-    return Jet2(*jets[:, 0].tolist(), coord=coord)
-
-
-def eval_basis_t_jet(d: DerivedParams, which: BasisMember, t: complex) -> Jet2:
-    """t-jet of t^e * F(params; t) for one basis member."""
-    return _first_point(*_member_t_jets(d, which, np.array([complex(t)])),
-                        coord="t")
+    return Jet2(*jets[:, 0].tolist())
 
 
 def eval_basis(d: DerivedParams, which: BasisMember, z: complex) -> Jet2:
@@ -257,7 +246,7 @@ def solution_jets(d: DerivedParams, c1: complex, c2: complex, z):
     jets, fault = _z_jets(d, members, z)
     if fault is not None:
         fault = (fault[0][0], fault[1])
-    return Jet2(*jets, coord="z"), fault
+    return Jet2(*jets), fault
 
 
 def eval_solution(d: DerivedParams, c1: complex, c2: complex, z: complex) -> Jet2:

@@ -36,10 +36,6 @@ class PoleAtMinusI(PapperitzError):
     """z is at (or numerically on top of) the singular point z = -i."""
 
 
-class PoleAtOne(PapperitzError):
-    """t is at (or numerically on top of) t = 1."""
-
-
 class ZeroBaseNonpositiveExponent(PapperitzError):
     """0**e requested with Re e <= 0."""
 

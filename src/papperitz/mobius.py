@@ -1,18 +1,18 @@
-"""Bilinear map between the z-plane and the t-plane, and principal powers.
+"""Bilinear map from the z-plane to the t-plane, and principal powers.
 
 The map t = (z - i)/(z + i) sends the equation's singular points z = i, -i
 to t = 0, infinity and the upper half plane onto the open unit disk.  All
 complex powers in this package go through :func:`principal_power`, which
 uses the principal logarithm (argument in (-pi, pi]).
 
-Every function takes a number or a 1-D array of points and returns the
-same kind: one numpy implementation serves both, so a point gives the same
-bits alone or inside an array.
+Both functions take a number or a 1-D array of points, and one numpy
+implementation serves both, so a point gives the same bits alone or inside
+an array.
 """
 
 import numpy as np
 
-from .errors import PoleAtMinusI, PoleAtOne, ZeroBaseNonpositiveExponent
+from .errors import PoleAtMinusI, ZeroBaseNonpositiveExponent
 
 _POLE_TOL = 1e-14
 
@@ -38,7 +38,12 @@ def forward_jets(z):
     that point are not to be used."""
     zs = _points(z)
     zp = zs + 1j
-    pole = np.abs(zp) <= _POLE_TOL * (1.0 + np.abs(zs))
+    size = np.abs(zp)
+    pole = size <= _POLE_TOL * (1.0 + np.abs(zs))
+    if any_of(pole):
+        # an overflowing |z + i| reads inf <= inf: such a point is far from
+        # the pole, and its values show as not finite
+        pole &= size < np.inf
     fault = None
     if any_of(pole):
         i = int(pole.argmax())
@@ -47,38 +52,6 @@ def forward_jets(z):
         zp = np.where(pole, 1.0, zp)
     zp2 = zp * zp
     return (zs - 1j) / zp, 2j / zp2, -4j / (zp2 * zp), fault
-
-
-def _forward(z, part: int):
-    jets = forward_jets(z)
-    if jets[3] is not None:
-        raise jets[3][1]
-    return _like(jets[part], z)
-
-
-def z_to_t(z):
-    """Forward map (z - i)/(z + i)."""
-    return _forward(z, 0)
-
-
-def t_to_z(t):
-    """Inverse map i(1 + t)/(1 - t)."""
-    ts = _points(t)
-    pole = np.abs(1 - ts) <= _POLE_TOL * (1.0 + np.abs(ts))
-    if any_of(pole):
-        bad = complex(ts[pole.argmax()])
-        raise PoleAtOne(f"t={bad} is at the pole t=1 of the inverse map")
-    return _like(1j * (1 + ts) / (1 - ts), t)
-
-
-def dt_dz(z):
-    """First derivative of the forward map: 2i/(z+i)^2."""
-    return _forward(z, 1)
-
-
-def d2t_dz2(z):
-    """Second derivative of the forward map: -4i/(z+i)^3."""
-    return _forward(z, 2)
 
 
 def principal_power(w, e: complex):

@@ -8,7 +8,7 @@ genuine two-sided check.
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .closed_form import DerivedParams, EquationParams, Jet2, solution_jets
 from .errors import (
@@ -89,19 +89,8 @@ class VerifyReport:
 
 def residual_z(p: EquationParams, jet: Jet2, z: complex) -> complex:
     """(1+z^2)^2 y'' + 2az(1+z^2) y' + 4(b+cz) y for a z-jet."""
-    if jet.coord != "z":
-        raise ValueError("residual_z needs a z-jet")
     q = 1 + z * z
     return q * q * jet.d2y + 2 * p.a * z * q * jet.dy + 4 * (p.b + p.c * z) * jet.y
-
-
-def residual_t(p: EquationParams, jet: Jet2, t: complex) -> complex:
-    """t^2(1-t) y'' + t[a - (2-a)t] y' + [(b-ic)t - (b+ic)] y for a t-jet."""
-    if jet.coord != "t":
-        raise ValueError("residual_t needs a t-jet")
-    return (t * t * (1 - t) * jet.d2y
-            + t * (p.a - (2 - p.a) * t) * jet.dy
-            + ((p.b - 1j * p.c) * t - (p.b + 1j * p.c)) * jet.y)
 
 
 def residual_scale(z: complex, jet: Jet2) -> float:
@@ -286,13 +275,3 @@ def compare_closed_numeric(p: EquationParams, d: DerivedParams,
         report.max_abs_err = max(report.max_abs_err, abs_err)
         report.max_rel_err = max(report.max_rel_err, rel_err)
     return report
-
-
-def finite_difference_jet(f: Callable[[complex], complex], z: complex,
-                          h: float, coord: str = "z") -> Jet2:
-    """Central-difference jet of a pointwise function."""
-    fp = f(z + h)
-    fm = f(z - h)
-    f0 = f(z)
-    return Jet2(f0, (fp - fm) / (2 * h), (fp - 2 * f0 + fm) / (h * h),
-                coord=coord)

@@ -54,9 +54,9 @@ def random_hyp_params(rng) -> HypParams:
         gamma = _rand_complex(rng)
         if hypergeom.nonpositive_integer_near(gamma) is not None:
             continue
-        if hypergeom._truncation_degree(alpha, beta) is not None:
-            continue
-        return HypParams(alpha, beta, gamma)
+        hp = HypParams(alpha, beta, gamma)
+        if hp.truncation_degree() is None:
+            return hp
 
 
 def sample_reachable_point(d, rng) -> complex:

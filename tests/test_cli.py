@@ -366,7 +366,7 @@ def test_batch_cases_cover_every_strategy():
     from papperitz.closed_form import (BasisMember, EquationParams,
                                        basis_hyp_params, derive_params)
     from papperitz.hypergeom import EvalStrategy, select_strategy
-    from papperitz.mobius import z_to_t
+    from papperitz.mobius import forward_jets
 
     seen = set()
     for args, points in BATCH_CASES:
@@ -374,7 +374,7 @@ def test_batch_cases_cover_every_strategy():
         d = derive_params(p)
         members = [BasisMember.FIRST] + [BasisMember.SECOND] * (args[-1] != "0,0")
         for z in points:
-            t = z_to_t(cli.parse_complex(z))
+            t = forward_jets(cli.parse_complex(z))[0][0]
             for which in members:
                 seen.add(select_strategy(basis_hyp_params(d, which), t))
     assert seen == set(EvalStrategy) - {EvalStrategy.UNREACHABLE}
@@ -485,6 +485,8 @@ BAD_INPUT_CASES = [
     # the second member is a polynomial of degree ~2e150
     (("eval", "--a", "0,0", "--b", "1e300,0", "--c", "0,0", "--c2", "1,0",
       "--z", "0.5,1"), 3),
+    # |z + i| overflows: the row is not finite, and z is not the pole z = -i
+    (("eval", *ZERO_ABC, "--z", "1.5e308,1.5e308"), 3),
 ]
 
 
@@ -494,5 +496,6 @@ def test_bad_input_exits_with_one_line(capsys, args, expected):
     code, out, err = run_cli(capsys, *args)
     assert code == expected and out == ""
     assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert "pole" not in err
     if expected == 1:
         assert err.startswith("papperitz: error: --")

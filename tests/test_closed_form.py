@@ -207,7 +207,7 @@ def test_elementary_power_family():
                 df = pw * principal_power(g, pw - 1) * gp
                 d2f = (pw * (pw - 1) * principal_power(g, pw - 2) * gp * gp
                        + pw * principal_power(g, pw - 1) * gpp)
-                jet = Jet2(f, df, d2f, coord="z")
+                jet = Jet2(f, df, d2f)
                 assert abs(residual_z(p, jet, z)) \
                     <= 1e-10 * residual_scale(z, jet)
 
@@ -281,13 +281,6 @@ def test_repeated_exponent_blocks_second_member():
     # first member still evaluates and solves the equation
     j = eval_basis(d, BasisMember.FIRST, 2j)
     assert abs(residual_z(p, j, 2j)) <= 1e-8 * residual_scale(2j, j)
-
-
-def test_jet_coordinate_tag():
-    with pytest.raises(ValueError):
-        Jet2(1, 0, 0, coord="x")
-    with pytest.raises(ValueError):
-        residual_z(EquationParams(0, 0, 0), Jet2(1, 0, 0, coord="t"), 0.5)
 
 
 def test_is_reachable_matches_evaluation():

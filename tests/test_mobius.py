@@ -4,28 +4,32 @@ import math
 import numpy as np
 import pytest
 
-from papperitz.errors import PoleAtMinusI, PoleAtOne, ZeroBaseNonpositiveExponent
-from papperitz.mobius import d2t_dz2, dt_dz, principal_power, t_to_z, z_to_t
+from papperitz.errors import PoleAtMinusI, ZeroBaseNonpositiveExponent
+from papperitz.mobius import forward_jets, principal_power
 
 
 def test_forward_map_values():
-    assert z_to_t(1j) == 0
-    assert z_to_t(0) == -1
+    assert forward_jets(1j)[0][0] == 0
+    assert forward_jets(0)[0][0] == -1
     # (1-i)/(1+i) = (1-i)^2/2 = -i
-    assert abs(z_to_t(1.0) - (-1j)) < 1e-15
+    assert abs(forward_jets(1.0)[0][0] - (-1j)) < 1e-15
 
 
 def test_forward_map_pole():
-    with pytest.raises(PoleAtMinusI):
-        z_to_t(-1j)
-    assert abs(z_to_t(-1j + 1e-6)) > 1e5
+    fault = forward_jets(-1j)[3]
+    assert fault[0] == 0 and isinstance(fault[1], PoleAtMinusI)
+    assert abs(forward_jets(-1j + 1e-6)[0][0]) > 1e5
 
 
-def test_inverse_map_values():
-    assert t_to_z(0) == 1j
-    assert t_to_z(-1) == 0
-    with pytest.raises(PoleAtOne):
-        t_to_z(1.0)
+def test_overflowing_point_is_not_the_pole():
+    # |z + i| overflows to inf, which must not read as |z + i| <= tol * inf
+    for z in (-1j, 1e-320 - 1j):
+        fault = forward_jets(z)[3]
+        assert fault[0] == 0 and isinstance(fault[1], PoleAtMinusI)
+    with np.errstate(all="ignore"):
+        assert forward_jets(complex(1.5e308, 1.5e308))[3] is None
+        fault = forward_jets(np.array([complex(1.5e308, 1.5e308), -1j]))[3]
+    assert fault[0] == 1 and isinstance(fault[1], PoleAtMinusI)
 
 
 def test_round_trip():
@@ -36,10 +40,10 @@ def test_round_trip():
         if abs(z - 1j) <= 0.1 or abs(z + 1j) <= 0.1:
             continue
         n += 1
-        back = t_to_z(z_to_t(z))
+        t = forward_jets(z)[0][0]
+        back = 1j * (1 + t) / (1 - t)
         assert abs(back - z) <= 1e-13 * (1 + abs(z))
-        t = z_to_t(z)
-        assert abs(z_to_t(t_to_z(t)) - t) <= 1e-13 * (1 + abs(t))
+        assert abs(forward_jets(back)[0][0] - t) <= 1e-13 * (1 + abs(t))
 
 
 def test_half_plane_correspondence():
@@ -47,14 +51,14 @@ def test_half_plane_correspondence():
     for _ in range(1000):
         r = rng.uniform(0, 1 - 1e-6)
         t = r * np.exp(1j * rng.uniform(-np.pi, np.pi))
-        assert t_to_z(t).imag > 0
+        assert (1j * (1 + t) / (1 - t)).imag > 0
         t_out = t / max(abs(t), 1e-3) * rng.uniform(1 + 1e-6, 3)
-        assert t_to_z(t_out).imag < 0
+        assert (1j * (1 + t_out) / (1 - t_out)).imag < 0
 
 
 def test_derivatives_values():
-    assert abs(dt_dz(0) - (-2j)) < 1e-15
-    assert abs(dt_dz(1j) - (-0.5j)) < 1e-15
+    assert abs(forward_jets(0)[1][0] - (-2j)) < 1e-15
+    assert abs(forward_jets(1j)[1][0] - (-0.5j)) < 1e-15
 
 
 def test_derivatives_match_finite_differences():
@@ -62,11 +66,12 @@ def test_derivatives_match_finite_differences():
     for _ in range(50):
         z = complex(rng.uniform(-3, 3), rng.uniform(0.5, 3))
         h = 1e-6
-        fd1 = (z_to_t(z + h) - z_to_t(z - h)) / (2 * h)
-        assert abs(dt_dz(z) - fd1) <= 1e-7 * max(abs(fd1), 1)
+        fd1 = (forward_jets(z + h)[0][0] - forward_jets(z - h)[0][0]) / (2 * h)
+        assert abs(forward_jets(z)[1][0] - fd1) <= 1e-7 * max(abs(fd1), 1)
         h = 1e-4  # second differences need a larger step against roundoff
-        fd2 = (z_to_t(z + h) - 2 * z_to_t(z) + z_to_t(z - h)) / h**2
-        assert abs(d2t_dz2(z) - fd2) <= 1e-6 * max(abs(fd2), 1)
+        fd2 = (forward_jets(z + h)[0][0] - 2 * forward_jets(z)[0][0]
+               + forward_jets(z - h)[0][0]) / h**2
+        assert abs(forward_jets(z)[2][0] - fd2) <= 1e-6 * max(abs(fd2), 1)
 
 
 def test_principal_power_values():
@@ -116,8 +121,8 @@ def test_principal_power_signed_zero_on_arrays():
 
 def test_map_functions_take_arrays():
     z = np.array([0.5 + 1.5j, -2.0 + 0.3j, 3.0])
-    for fn in (z_to_t, dt_dz, d2t_dz2):
-        got = fn(z)
-        assert got.tolist() == [fn(complex(x)) for x in z]
-    with pytest.raises(PoleAtMinusI):
-        z_to_t(np.array([1j, -1j]))
+    got = forward_jets(z)
+    for part in range(3):
+        assert got[part].tolist() == [forward_jets(complex(x))[part][0] for x in z]
+    fault = forward_jets(np.array([1j, -1j]))[3]
+    assert fault[0] == 1 and isinstance(fault[1], PoleAtMinusI)
