@@ -196,16 +196,30 @@ def _read_points(path: str) -> List[complex]:
                 raise UsageError(f"points file {path!r} needs z_re and z_im columns")
             for row in reader:
                 re, im = row["z_re"], row["z_im"]
-                where = f"points file {path!r}, line {reader.line_num}"
-                if re is None or im is None:
-                    raise UsageError(f"{where}: missing z_re or z_im value")
                 try:
+                    if re is None or im is None:
+                        raise UsageError("missing z_re or z_im value")
                     points.append(_finite_complex(re, im, f"{re},{im}"))
                 except UsageError as exc:
-                    raise UsageError(f"{where}: {exc}") from exc
+                    raise UsageError(f"points file {path!r}, line "
+                                     f"{reader.line_num}: {exc}") from exc
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise UsageError(f"cannot read points file {path!r}: {exc}") from exc
     return points
+
+
+def _write_rows(header: List[str], rows, as_json: bool, head: dict):
+    """Rows of Python floats in the order of header, as CSV, where the csv
+    module writes each float as its repr, or as JSON objects under "rows"
+    after the entries of head."""
+    if as_json:
+        json.dump({**head, "rows": [dict(zip(header, row)) for row in rows]},
+                  sys.stdout)
+        sys.stdout.write("\n")
+    else:
+        writer = csv.writer(sys.stdout)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _eval_points(args) -> List[complex]:
@@ -248,18 +262,10 @@ def cmd_eval(args) -> int:
             print(f"point z={points[i]} not evaluable: {exc}", file=sys.stderr)
             return EXIT_UNREACHABLE
         raise exc
-    # tolist() gives Python floats, whose repr the CSV rows rely on
-    rows = [dict(zip(CSV_HEADER, values))
-            for values in zip(*(c.tolist() for c in columns))]
-    if args.format == "json":
-        json.dump({"params": _params_dict(p), "derived": _derived_dict(d),
-                   "rows": rows}, sys.stdout)
-        sys.stdout.write("\n")
-    else:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(CSV_HEADER)
-        for row in rows:
-            writer.writerow([repr(row[k]) for k in CSV_HEADER])
+    # tolist() gives Python floats, whose repr the rows rely on
+    _write_rows(CSV_HEADER, zip(*(c.tolist() for c in columns)),
+                args.format == "json",
+                {"params": _params_dict(p), "derived": _derived_dict(d)})
     return EXIT_OK
 
 
@@ -312,19 +318,10 @@ def cmd_integrate(args) -> int:
         return EXIT_UNREACHABLE
     samples = integrate_ivp(p, path, parse_complex(args.y0),
                             parse_complex(args.dy0))
-    rows = [{"z_re": z.real, "z_im": z.imag,
-             "y_re": y.real, "y_im": y.imag,
-             "dy_re": dy.real, "dy_im": dy.imag}
-            for z, y, dy in samples]
-    if args.out == "json":
-        json.dump({"params": _params_dict(p), "rows": rows}, sys.stdout)
-        sys.stdout.write("\n")
-    else:
-        cols = CSV_HEADER[:-1]
-        writer = csv.writer(sys.stdout)
-        writer.writerow(cols)
-        for row in rows:
-            writer.writerow([repr(row[k]) for k in cols])
+    _write_rows(CSV_HEADER[:-1],
+                ((z.real, z.imag, y.real, y.imag, dy.real, dy.imag)
+                 for z, y, dy in samples),
+                args.out == "json", {"params": _params_dict(p)})
     return EXIT_OK
 
 

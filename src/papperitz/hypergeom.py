@@ -40,10 +40,11 @@ INTEGER_TOL = 1e-10
 #: Half-width of the guard band around the branch cut t in [1, inf).
 BRANCH_CUT_TOL = 1e-12
 
-#: Points times series terms in one block of the kernel.  Its work arrays
-#: hold three sums of this many complex terms each, so they stay below
-#: ~2 MB whatever the number of points.
-BLOCK_TERMS = 1 << 13
+#: Points times series terms in one block of the kernel.  Its three-row
+#: work arrays take 96 KiB, under glibc's 128 KiB mmap threshold, so each
+#: block reuses heap memory instead of zero-filling fresh pages: an
+#: eval_batch request made ~2,150 minor page faults at 1 << 13, 3 at 1 << 11.
+BLOCK_TERMS = 1 << 11
 
 #: Stopping rule of the series: a point stops once two consecutive terms of
 #: each of its three sums are at most this times that sum's partial sum.
@@ -472,7 +473,8 @@ def gauss_2f1_jets(p: HypParams, t):
         bad[i:] = True
     elif all_of(codes == codes[0]):
         return _JETS[codes[0]](p, t)
-    for code in np.unique(codes[~bad]).tolist():
+    # sorted(set()) and not np.unique, which imports numpy.ma (~1.3 MB)
+    for code in sorted(set(codes[~bad].tolist())):
         idx = np.flatnonzero((codes == code) & ~bad)
         jets[:, idx], fault = _JETS[code](p, t[idx])
         if fault is not None:

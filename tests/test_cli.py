@@ -2,6 +2,10 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -278,6 +282,27 @@ def test_eval_points_nonfinite_value(tmp_path, capsys, bad):
     assert "points.csv" in err and "line 3" in err and "finite" in err
 
 
+def test_eval_points_missing_value(tmp_path, capsys):
+    path = _points_file(tmp_path, ["0.5,1.5", "0.25"])
+    code, out, err = run_cli(capsys, "eval", *EVAL_ABC, "--points", path)
+    assert code == 1 and out == ""
+    assert err == (f"papperitz: error: points file {path!r}, line 3: "
+                   f"missing z_re or z_im value\n")
+
+
+def test_rows_write_floats_as_repr(capsys):
+    floats = (-0.0, 5e-324, 1e16, 1e308, 0.1, 1 / 3)
+    rows = [floats, floats[::-1]]
+    cli._write_rows(["f"] * 6, iter(rows), False, {})
+    assert capsys.readouterr().out == "".join(
+        ",".join(row) + "\r\n" for row in [["f"] * 6] + [map(repr, r) for r in rows])
+    cli._write_rows(list("abcdef"), iter(rows), True, {"head": 1})
+    out = capsys.readouterr().out
+    assert out == json.dumps({"head": 1, "rows": [dict(zip("abcdef", r))
+                                                  for r in rows]}) + "\n"
+    assert [tuple(r.values()) for r in json.loads(out)["rows"]] == rows
+
+
 def test_eval_no_convergence_exit_3(capsys, monkeypatch):
     from papperitz import hypergeom
 
@@ -379,6 +404,21 @@ def test_batch_cases_cover_every_strategy():
                 seen.add(select_strategy(basis_hyp_params(d, which), t))
     assert seen == set(EvalStrategy) - {EvalStrategy.UNREACHABLE}
     assert any(args[-1] == "0,0" for args, _ in BATCH_CASES)  # c2 = 0
+
+
+def test_points_request_leaves_numpy_ma_unimported(tmp_path):
+    # np.unique imports numpy.ma, ~1.3 MB of memory, on a request whose
+    # points take several strategies: the eval path must not use it
+    args, points = BATCH_CASES[0]
+    argv = ["eval", *args, "--points", _points_file(tmp_path, points)]
+    script = ("import sys\nfrom papperitz import cli\n"
+              f"code = cli.main({argv!r})\n"
+              "print(code, 'numpy.ma' in sys.modules)\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 False"
 
 
 def test_points_first_failure_decides(tmp_path, capsys):

@@ -227,7 +227,7 @@ def _mixed_points(p, rng, n=120):
 
 def test_kernel_row_independent_of_batch_order_blocks_and_cache(monkeypatch):
     from papperitz import hypergeom
-    from papperitz.hypergeom import gauss_2f1_jets
+    from papperitz.hypergeom import gauss_2f1_jets, series_jets
 
     rng = np.random.default_rng(41)
     for _ in range(4):
@@ -241,14 +241,34 @@ def test_kernel_row_independent_of_batch_order_blocks_and_cache(monkeypatch):
         perm = rng.permutation(len(t))
         assert _bits(gauss_2f1_jets(p, t[perm])[0]) == _bits(whole[:, perm])
         hypergeom._jet_coefficients.cache_clear()
-        monkeypatch.setattr(hypergeom, "BLOCK_TERMS", 500)
-        assert _bits(gauss_2f1_jets(p, t)[0]) == _bits(whole)
+        for block_terms in (500, 1 << 13):
+            monkeypatch.setattr(hypergeom, "BLOCK_TERMS", block_terms)
+            assert _bits(gauss_2f1_jets(p, t)[0]) == _bits(whole)
         monkeypatch.undo()
         # a table built longer first serves the same prefix
         hypergeom._jet_coefficients.cache_clear()
         gauss_2f1_jets(p, np.array([0.69j]))
         assert _bits(gauss_2f1_jets(p, t)[0]) == _bits(whole)
         assert gauss_2f1_jet(p, complex(t[0])) == tuple(whole[:, 0].tolist())
+    # the block size only decides which points share a block: the rows at
+    # BLOCK_TERMS are those at the former 1 << 13, for every series kind
+    w = 0.95 * np.sqrt(rng.uniform(0, 1, 200)) * np.exp(2j * np.pi * rng.uniform(0, 1, 200))
+    w[:4] = [0.95, -0.95j, 0.95 * np.exp(2j), -0.9]
+    generic = random_hyp_params(rng)
+    cases = [
+        (generic, w, None),  # direct, as for Pfaff's transformed argument
+        (generic, w, complex(generic.gamma - generic.alpha - generic.beta)),  # connection
+        (HypParams(-30, 0.5 + 0.5j, 1.3), 3 * w, None),  # polynomial
+        (HypParams(-2500, 1, 2500.5), w, None),  # polynomial longer than a block
+        (HypParams(20, 19.5 + 1j, 1.5), w[:40], None),  # retried with 4x the terms
+    ]
+    assert hypergeom.BLOCK_TERMS < 1 << 13
+    for p, args, shift in cases:
+        now, fault = series_jets(p, args, shift)
+        assert fault is None
+        monkeypatch.setattr(hypergeom, "BLOCK_TERMS", 1 << 13)
+        assert _bits(series_jets(p, args, shift)[0]) == _bits(now)
+        monkeypatch.undo()
 
 
 def test_kernel_reports_the_first_failing_point(monkeypatch):
