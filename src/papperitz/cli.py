@@ -16,17 +16,6 @@ import math
 import sys
 from typing import List, Optional
 
-import numpy as np
-
-from . import selftest
-from .closed_form import (
-    BasisMember,
-    DegeneracyClass,
-    EquationParams,
-    derive_params,
-    eval_basis,
-    solution_jets,
-)
 from .errors import (
     DegenerateBasis,
     DegenerateWronskian,
@@ -41,13 +30,8 @@ from .errors import (
     StepLimitExceeded,
     ZeroBaseNonpositiveExponent,
 )
-from .oracle import (
-    PathSpec,
-    compare_closed_numeric,
-    integrate_ivp,
-    residual_scale,
-    residual_z,
-)
+from .oracle import PathSpec, integrate_ivp, residual_scale, residual_z
+from .params import DegeneracyClass, EquationParams, derive_params
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -190,7 +174,7 @@ def _read_points(path: str) -> List[complex]:
     finite number, as for --z."""
     points: List[complex] = []
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.DictReader(fh)
             if not {"z_re", "z_im"} <= set(reader.fieldnames or ()):
                 raise UsageError(f"points file {path!r} needs z_re and z_im columns")
@@ -239,6 +223,11 @@ def cmd_eval(args) -> int:
     c2 = parse_complex(args.c2)
     d = derive_params(p)
     points = _eval_points(args)
+    # numpy and the array modules load on first use, so that the commands
+    # and usage errors that need none of them start without them
+    import numpy as np
+
+    from .closed_form import solution_jets
     z = np.array(points)
     # an overflow shows as a row that is not finite, reported below
     with np.errstate(all="ignore"):
@@ -286,15 +275,18 @@ def cmd_verify(args) -> int:
         print(f"degenerate parameters ({d.degeneracy.value}); "
               f"verification out of scope", file=sys.stderr)
         return EXIT_DEGENERATE
+    import numpy as np
+
+    from . import selftest
     rng = np.random.default_rng(args.seed)
     try:
-        report = compare_closed_numeric(p, d, 1.0, 0.3,
-                                        PathSpec(selftest.DEFAULT_PATH))
+        report = selftest.compare_closed_numeric(
+            p, d, 1.0, 0.3, PathSpec(selftest.DEFAULT_PATH))
+        points = [selftest.sample_reachable_point(d, rng)
+                  for _ in range(args.samples)]
         max_res_ratio = 0.0
-        for _ in range(args.samples):
-            z = selftest.sample_reachable_point(d, rng)
-            for which in BasisMember:
-                jet = eval_basis(d, which, z)
+        for z, jets in zip(points, selftest.member_jets(d, points)):
+            for jet in jets:
                 ratio = abs(residual_z(p, jet, z)) / residual_scale(z, jet)
                 max_res_ratio = max(max_res_ratio, ratio)
     except DegenerateBasis as exc:
@@ -327,6 +319,7 @@ def cmd_integrate(args) -> int:
 
 def cmd_selftest(args) -> int:
     _check_seed(args.seed)
+    from . import selftest
     ok = selftest.run_selftest(seed=args.seed, quick=args.quick)
     print("selftest: pass" if ok else "selftest: FAIL")
     return EXIT_OK if ok else EXIT_VERIFY_FAILED

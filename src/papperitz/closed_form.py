@@ -5,9 +5,6 @@ one; each basis member is a principal power of t times a Gauss function,
 with parameters derived from (a, b, c) by principal square roots.
 """
 
-import cmath
-import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -16,120 +13,16 @@ from .errors import (
     DegenerateBasis,
     DegenerateWronskian,
     InvalidGamma,
-    NonFiniteParameters,
     ZeroBaseNonpositiveExponent,
 )
-from .hypergeom import HypParams, earliest, evaluable, gauss_2f1_jets
+from .hypergeom import earliest, evaluable, gauss_2f1_jets
 from .mobius import any_of, forward_jets, principal_power
-
-#: |delta| below this counts as a repeated Frobenius exponent.
-DEGENERACY_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class EquationParams:
-    """Coefficient triple (a, b, c) of the equation."""
-
-    a: complex
-    b: complex
-    c: complex
-
-    def __post_init__(self):
-        for name in ("a", "b", "c"):
-            v = complex(getattr(self, name))
-            if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-                raise ValueError(f"coefficient {name}={v} is not finite")
-
-
-class DegeneracyClass(Enum):
-    GENERIC = "Generic"
-    REPEATED_EXPONENT = "RepeatedExponent"
-    FIRST_BASIS_INVALID = "FirstBasisInvalid"
-    SECOND_BASIS_INVALID = "SecondBasisInvalid"
+from .params import DegeneracyClass, DerivedParams, HypParams, Jet2
 
 
 class BasisMember(Enum):
     FIRST = "First"
     SECOND = "Second"
-
-
-@dataclass(frozen=True)
-class Jet2:
-    """Value with first and second z-derivatives; the fields are numbers,
-    or arrays over points for the array functions."""
-
-    y: complex
-    dy: complex
-    d2y: complex
-
-
-@dataclass(frozen=True)
-class DerivedParams:
-    delta: complex
-    delta_star: complex
-    lam: complex
-    lam2: complex
-    alpha: complex
-    beta: complex
-    gamma: complex
-    degeneracy: DegeneracyClass
-
-
-def _principal_sqrt(w: complex) -> complex:
-    w = complex(w)
-    if w.imag == 0.0:
-        # clear a signed zero: arg stays in (-pi, pi]
-        w = complex(w.real, 0.0)
-    return cmath.sqrt(w)
-
-
-def _basis_ok(alpha, beta, gamma) -> bool:
-    try:
-        HypParams(alpha, beta, gamma)
-        return True
-    except InvalidGamma:
-        return False
-
-
-def derive_params(p: EquationParams) -> DerivedParams:
-    """Frobenius exponents and hypergeometric parameters from (a, b, c).
-
-    delta and delta* are principal square roots; with c = 0 their
-    arguments coincide, so they are bit-identical.  Raises
-    NonFiniteParameters when a derived value overflows.
-    """
-    a, b, c = complex(p.a), complex(p.b), complex(p.c)
-    try:
-        square = (1 - a) ** 2
-    except OverflowError as exc:
-        raise _overflow(p) from exc
-    delta = _principal_sqrt(square + 4 * (b + 1j * c))
-    delta_star = _principal_sqrt(square + 4 * (b - 1j * c))
-    # (1-a)^2 is finite here, so the sums below are finite when the roots are
-    if not (cmath.isfinite(delta) and cmath.isfinite(delta_star)):
-        raise _overflow(p)
-    lam = (1 - a + delta) / 2
-    lam2 = (1 - a - delta) / 2
-    alpha = 1 - a + (delta + delta_star) / 2
-    beta = 1 - a + (delta - delta_star) / 2
-    gamma = 1 + delta
-
-    if abs(delta) <= DEGENERACY_TOL:
-        degeneracy = DegeneracyClass.REPEATED_EXPONENT
-    elif not _basis_ok(alpha, beta, gamma):
-        degeneracy = DegeneracyClass.FIRST_BASIS_INVALID
-    elif not _basis_ok(alpha - gamma + 1, beta - gamma + 1, 2 - gamma):
-        degeneracy = DegeneracyClass.SECOND_BASIS_INVALID
-    else:
-        degeneracy = DegeneracyClass.GENERIC
-
-    return DerivedParams(delta, delta_star, lam, lam2,
-                         alpha, beta, gamma, degeneracy)
-
-
-def _overflow(p: EquationParams) -> NonFiniteParameters:
-    return NonFiniteParameters(f"a parameter derived from a={p.a}, b={p.b}, "
-                               f"c={p.c} overflows to an infinity or NaN")
 
 
 def basis_hyp_params(d: DerivedParams, which: BasisMember) -> HypParams:
@@ -226,9 +119,17 @@ def _first_point(jets: np.ndarray, fault) -> Jet2:
     return Jet2(*jets[:, 0].tolist())
 
 
+def basis_jets(d: DerivedParams, which: BasisMember, z):
+    """z-jets of one basis member at every z of a 1-D array, as a (3, n)
+    array, and the first point that fails, as (index, exception), or None;
+    the values of a failed array are not to be used."""
+    jets, fault = _z_jets(d, [(which, None)], z)
+    return jets, None if fault is None else (fault[0][0], fault[1])
+
+
 def eval_basis(d: DerivedParams, which: BasisMember, z: complex) -> Jet2:
     """z-jet of one basis member, by the chain rule through t(z)."""
-    return _first_point(*_z_jets(d, [(which, None)], [complex(z)]))
+    return _first_point(*basis_jets(d, which, [complex(z)]))
 
 
 def solution_jets(d: DerivedParams, c1: complex, c2: complex, z):

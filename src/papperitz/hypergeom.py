@@ -19,7 +19,6 @@ constants, read at each call.
 import cmath
 import functools
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Tuple
 
@@ -27,15 +26,11 @@ import numpy as np
 
 from .errors import (
     EvaluationUnreachable,
-    InvalidGamma,
     NoConvergence,
     OnBranchCut,
 )
 from .mobius import all_of, any_of, principal_power
-
-#: Proximity rule for "is (numerically) an integer": both the distance to
-#: the nearest integer and the imaginary part must be below this.
-INTEGER_TOL = 1e-10
+from .params import HypParams, near_integer, nonpositive_integer_near
 
 #: Half-width of the guard band around the branch cut t in [1, inf).
 BRANCH_CUT_TOL = 1e-12
@@ -66,55 +61,6 @@ def earliest(*faults: Fault) -> Fault:
     """The fault with the lowest key; the first one given on a tie."""
     found = [f for f in faults if f is not None]
     return min(found, key=lambda f: f[0]) if found else None
-
-
-def near_integer(x: complex) -> bool:
-    x = complex(x)
-    return abs(x.imag) <= INTEGER_TOL and abs(x.real - round(x.real)) <= INTEGER_TOL
-
-
-def nonpositive_integer_near(x: complex) -> Optional[int]:
-    """If x is integer-close to -k with k >= 0, return k, else None."""
-    if not near_integer(x):
-        return None
-    n = round(complex(x).real)
-    return -n if n <= 0 else None
-
-
-def _truncation_degree(alpha: complex, beta: complex) -> Optional[int]:
-    """Degree at which the series terminates, or None if it does not."""
-    ks = [k for k in (nonpositive_integer_near(alpha),
-                      nonpositive_integer_near(beta)) if k is not None]
-    return min(ks) if ks else None
-
-
-@dataclass(frozen=True)
-class HypParams:
-    """Parameter triple (alpha, beta, gamma) of the hypergeometric series.
-
-    A nonpositive-integer gamma = -m is rejected unless alpha or beta is a
-    nonpositive integer -k with k <= m, in which case the series truncates
-    before the vanishing denominator factor is reached.
-    """
-
-    alpha: complex
-    beta: complex
-    gamma: complex
-
-    def __post_init__(self):
-        k = _truncation_degree(self.alpha, self.beta)
-        # computed once: every evaluation asks for it
-        object.__setattr__(self, "_degree", k)
-        m = nonpositive_integer_near(self.gamma)
-        if m is not None and (k is None or k > m):
-            raise InvalidGamma(
-                f"gamma={self.gamma} is a nonpositive integer and neither "
-                f"alpha={self.alpha} nor beta={self.beta} truncates the "
-                f"series early enough"
-            )
-
-    def truncation_degree(self) -> Optional[int]:
-        return self._degree
 
 
 class EvalStrategy(Enum):

@@ -7,16 +7,16 @@ genuine two-sided check.
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from .closed_form import DerivedParams, EquationParams, Jet2, solution_jets
 from .errors import (
     NonFinitePath,
     NonFiniteSolution,
     PathTooCloseToSingularity,
     StepLimitExceeded,
 )
+from .params import EquationParams, Jet2
 
 _SINGULARITIES = (1j, -1j)
 
@@ -76,15 +76,6 @@ class IntegrationControl:
             raise ValueError("tolerances must be positive")
         if self.max_steps < 1:
             raise ValueError("max_steps must be at least 1")
-
-
-@dataclass
-class VerifyReport:
-    """Per-waypoint closed-form vs numeric comparison."""
-
-    samples: List[Tuple[complex, complex, complex, float]] = field(default_factory=list)
-    max_abs_err: float = 0.0
-    max_rel_err: float = 0.0
 
 
 def residual_z(p: EquationParams, jet: Jet2, z: complex) -> complex:
@@ -248,30 +239,3 @@ def integrate_ivp(p: EquationParams, path: PathSpec,
         out.append(_finite_sample(z1, y, v))
     return out
 
-
-def compare_closed_numeric(p: EquationParams, d: DerivedParams,
-                           c1: complex, c2: complex, path: PathSpec,
-                           ctrl: IntegrationControl = IntegrationControl()
-                           ) -> VerifyReport:
-    """Seed the integrator with the closed-form jet at the path start and
-    compare values at every waypoint.
-
-    The closed form is evaluated at all waypoints in one call; a point's
-    jet is the same alone or in the array.  A failure at the start is
-    raised before integrating, one further along after it, as a
-    point-by-point evaluation would raise them."""
-    closed, fault = solution_jets(d, c1, c2, path.waypoints)
-    if fault is not None and fault[0] == 0:
-        raise fault[1]
-    numeric = integrate_ivp(p, path, complex(closed.y[0]), complex(closed.dy[0]),
-                            ctrl)
-    if fault is not None:
-        raise fault[1]
-    report = VerifyReport()
-    for (z, y_num, _), y_closed in zip(numeric, closed.y.tolist()):
-        abs_err = abs(y_closed - y_num)
-        rel_err = abs_err / max(abs(y_closed), 1e-300)
-        report.samples.append((z, y_closed, y_num, abs_err))
-        report.max_abs_err = max(report.max_abs_err, abs_err)
-        report.max_rel_err = max(report.max_rel_err, rel_err)
-    return report

@@ -1,28 +1,37 @@
-"""Seeded self-check suites shared by the CLI and the test suite.
+"""Seeded self-check suites shared by the CLI and the test suite, and the
+comparison of the closed form with the integrator that they and `verify`
+run.  The comparison lives here, not in oracle, so that the integrator
+stays free of the closed form.
 
 Every suite draws its own values from a caller-provided generator, so a
 fixed seed reproduces the exact same report byte for byte.
 """
 
-from typing import Tuple
+from dataclasses import dataclass, field
+from typing import List, Tuple
 
 import numpy as np
 
-from . import closed_form, hypergeom
-from .closed_form import (
-    BasisMember,
-    DegeneracyClass,
-    EquationParams,
-    eval_basis,
-)
-from .hypergeom import HypParams, gauss_2f1, gauss_2f1_jet
+# params.derive_params is looked up at each call, so that a test can
+# substitute a corrupted derivation and see the suites fail
+from . import closed_form, hypergeom, params
+from .closed_form import BasisMember, basis_jets, solution_jets
+from .hypergeom import gauss_2f1, gauss_2f1_jet
 from .mobius import principal_power
 from .oracle import (
     IntegrationControl,
     PathSpec,
-    compare_closed_numeric,
+    integrate_ivp,
     residual_scale,
     residual_z,
+)
+from .params import (
+    DegeneracyClass,
+    DerivedParams,
+    EquationParams,
+    HypParams,
+    Jet2,
+    nonpositive_integer_near,
 )
 
 DEFAULT_PATH = (2j, 1 + 2j, 2 + 2j)
@@ -41,7 +50,7 @@ def random_generic_equation(rng):
     """(params, derived) pair with Generic degeneracy."""
     while True:
         p = random_equation(rng)
-        d = closed_form.derive_params(p)
+        d = params.derive_params(p)
         if d.degeneracy is DegeneracyClass.GENERIC:
             return p, d
 
@@ -52,7 +61,7 @@ def random_hyp_params(rng) -> HypParams:
         alpha = _rand_complex(rng)
         beta = _rand_complex(rng)
         gamma = _rand_complex(rng)
-        if hypergeom.nonpositive_integer_near(gamma) is not None:
+        if nonpositive_integer_near(gamma) is not None:
             continue
         hp = HypParams(alpha, beta, gamma)
         if hp.truncation_degree() is None:
@@ -77,7 +86,7 @@ def suite_parameter_identities(rng, n: int) -> Check:
     fails = 0
     for _ in range(n):
         p = random_equation(rng)
-        d = closed_form.derive_params(p)
+        d = params.derive_params(p)
         a, b, c = p.a, p.b, p.c
         scale = 1.0 + abs(d.lam) ** 2 + abs(b) + abs(c)
         ok = abs(d.lam ** 2 - (1 - a) * d.lam - (b + 1j * c)) <= 1e-12 * scale
@@ -137,21 +146,74 @@ def suite_hypergeom_identities(rng, n: int) -> Check:
     return ("hypergeom-identities", fails, n)
 
 
+def member_jets(d: DerivedParams, points) -> List[Tuple[Jet2, ...]]:
+    """Jets of the basis members at each point, in BasisMember order, from
+    one array evaluation per member; a point's jets are those eval_basis
+    gives it.  Raises the error a point-by-point evaluation meets first."""
+    z = np.array(points, dtype=complex)
+    members, faults = [], []
+    for k, which in enumerate(BasisMember):
+        jets, fault = basis_jets(d, which, z)
+        if fault is not None:
+            faults.append(((fault[0], k), fault[1]))
+        members.append([Jet2(*jet) for jet in jets.T.tolist()])
+    first = hypergeom.earliest(*faults)
+    if first is not None:
+        raise first[1]
+    return list(zip(*members))
+
+
 def suite_residuals(rng, n_draws: int, n_points: int) -> Check:
     """Closed-form basis jets satisfy the ODE pointwise."""
     fails = 0
     total = 0
     for _ in range(n_draws):
         p, d = random_generic_equation(rng)
-        for _ in range(n_points):
-            z = sample_reachable_point(d, rng)
-            for which in BasisMember:
+        points = [sample_reachable_point(d, rng) for _ in range(n_points)]
+        for z, jets in zip(points, member_jets(d, points)):
+            for jet in jets:
                 total += 1
-                jet = eval_basis(d, which, z)
                 res = abs(residual_z(p, jet, z))
                 if res > 1e-8 * residual_scale(z, jet):
                     fails += 1
     return ("closed-form-residuals", fails, total)
+
+
+@dataclass
+class VerifyReport:
+    """Per-waypoint closed-form vs numeric comparison."""
+
+    samples: List[Tuple[complex, complex, complex, float]] = field(default_factory=list)
+    max_abs_err: float = 0.0
+    max_rel_err: float = 0.0
+
+
+def compare_closed_numeric(p: EquationParams, d: DerivedParams,
+                           c1: complex, c2: complex, path: PathSpec,
+                           ctrl: IntegrationControl = IntegrationControl()
+                           ) -> VerifyReport:
+    """Seed the integrator with the closed-form jet at the path start and
+    compare values at every waypoint.
+
+    The closed form is evaluated at all waypoints in one call; a point's
+    jet is the same alone or in the array.  A failure at the start is
+    raised before integrating, one further along after it, as a
+    point-by-point evaluation would raise them."""
+    closed, fault = solution_jets(d, c1, c2, path.waypoints)
+    if fault is not None and fault[0] == 0:
+        raise fault[1]
+    numeric = integrate_ivp(p, path, complex(closed.y[0]), complex(closed.dy[0]),
+                            ctrl)
+    if fault is not None:
+        raise fault[1]
+    report = VerifyReport()
+    for (z, y_num, _), y_closed in zip(numeric, closed.y.tolist()):
+        abs_err = abs(y_closed - y_num)
+        rel_err = abs_err / max(abs(y_closed), 1e-300)
+        report.samples.append((z, y_closed, y_num, abs_err))
+        report.max_abs_err = max(report.max_abs_err, abs_err)
+        report.max_rel_err = max(report.max_rel_err, rel_err)
+    return report
 
 
 def suite_oracle_agreement(rng, n_draws: int) -> Check:

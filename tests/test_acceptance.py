@@ -16,24 +16,27 @@ import pytest
 from papperitz import cli
 from papperitz.closed_form import (
     BasisMember,
-    DegeneracyClass,
-    EquationParams,
-    Jet2,
-    derive_params,
     eval_basis,
     eval_solution,
     fit_ivp,
 )
 from papperitz.errors import DegenerateWronskian
-from papperitz.hypergeom import HypParams, gauss_2f1, gauss_2f1_jet
+from papperitz.hypergeom import gauss_2f1, gauss_2f1_jet
 from papperitz.mobius import principal_power
 from papperitz.oracle import (
     PathSpec,
-    compare_closed_numeric,
     residual_scale,
     residual_z,
 )
+from papperitz.params import (
+    DegeneracyClass,
+    EquationParams,
+    HypParams,
+    Jet2,
+    derive_params,
+)
 from papperitz.selftest import (
+    compare_closed_numeric,
     random_equation,
     random_generic_equation,
     random_hyp_params,

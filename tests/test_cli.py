@@ -230,15 +230,15 @@ def test_selftest_seed_deterministic(capsys):
 
 def test_selftest_detects_mutation(capsys, monkeypatch):
     # sanity check: corrupting the parameter derivation must trip the suites
-    from papperitz import closed_form
-    from papperitz.closed_form import EquationParams, derive_params
+    from papperitz import params
+    from papperitz.params import EquationParams, derive_params
 
     real = derive_params
 
     def mutated(p):
         return real(EquationParams(p.a, p.b, -p.c))
 
-    monkeypatch.setattr(closed_form, "derive_params", mutated)
+    monkeypatch.setattr(params, "derive_params", mutated)
     code, out, _ = run_cli(capsys, "selftest", "--quick", "--seed", "3")
     assert code == 4
     assert "FAIL" in out
@@ -288,6 +288,25 @@ def test_eval_points_missing_value(tmp_path, capsys):
     assert code == 1 and out == ""
     assert err == (f"papperitz: error: points file {path!r}, line 3: "
                    f"missing z_re or z_im value\n")
+
+
+def test_eval_points_file_with_bom(tmp_path, capsys):
+    # spreadsheet programs save CSV files with a UTF-8 byte order mark
+    plain = tmp_path / "plain.csv"
+    plain.write_bytes(b"z_re,z_im\n0.5,1.5\n-1,2\n")
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    first, second = (run_cli(capsys, "eval", *EVAL_ABC, "--points", str(p))
+                     for p in (plain, bom))
+    assert first[0] == 0 and second == first
+
+
+def test_eval_points_undecodable_bytes(tmp_path, capsys):
+    path = tmp_path / "points.csv"
+    path.write_bytes(b"z_re,z_im\n0.5,\xff1.5\n")
+    code, out, err = run_cli(capsys, "eval", *EVAL_ABC, "--points", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("papperitz: error: cannot read points file")
 
 
 def test_rows_write_floats_as_repr(capsys):
@@ -388,10 +407,10 @@ def test_points_rows_match_single_points(tmp_path, capsys, args, points):
 
 
 def test_batch_cases_cover_every_strategy():
-    from papperitz.closed_form import (BasisMember, EquationParams,
-                                       basis_hyp_params, derive_params)
+    from papperitz.closed_form import BasisMember, basis_hyp_params
     from papperitz.hypergeom import EvalStrategy, select_strategy
     from papperitz.mobius import forward_jets
+    from papperitz.params import EquationParams, derive_params
 
     seen = set()
     for args, points in BATCH_CASES:
@@ -419,6 +438,43 @@ def test_points_request_leaves_numpy_ma_unimported(tmp_path):
                           text=True, env=dict(os.environ, PYTHONPATH=src))
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "0 False"
+
+
+def test_startup_leaves_numpy_unimported():
+    # params, integrate, --help and the usage errors use no array code:
+    # numpy and the array modules load with the first eval, verify or
+    # selftest request
+    requests = [
+        ["params", *EVAL_ABC],
+        ["integrate", *EVAL_ABC, "--path", "2,0;3,1", "--y0", "1,0",
+         "--dy0", "0,0"],
+        ["--help"],
+        ["params", "--a", "0,0"],
+        ["eval", *EVAL_ABC],
+        ["eval", *EVAL_ABC, "--z", "nan,0"],
+        ["verify", *EVAL_ABC, "--tol", "nan"],
+        ["selftest", "--seed", "-1"],
+        ["eval", *EVAL_ABC, "--z", "0.5,1.5"],
+    ]
+    script = ("import contextlib, io, sys\nfrom papperitz import cli\n"
+              "heavy = ('numpy', 'papperitz.mobius', 'papperitz.hypergeom',\n"
+              "         'papperitz.closed_form', 'papperitz.selftest')\n"
+              f"for argv in {requests!r}:\n"
+              "    sink = io.StringIO()\n"
+              "    with contextlib.redirect_stdout(sink), "
+              "contextlib.redirect_stderr(sink):\n"
+              "        try:\n"
+              "            code = cli.main(argv)\n"
+              "        except SystemExit as exc:\n"
+              "            code = exc.code\n"
+              "    print(code, [m for m in heavy if m in sys.modules])\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["0 []"] * 3 + ["1 []"] * 5 + [
+        "0 ['numpy', 'papperitz.mobius', 'papperitz.hypergeom', "
+        "'papperitz.closed_form']"]
 
 
 def test_points_first_failure_decides(tmp_path, capsys):

@@ -6,10 +6,6 @@ import pytest
 
 from papperitz.closed_form import (
     BasisMember,
-    DegeneracyClass,
-    EquationParams,
-    Jet2,
-    derive_params,
     eval_basis,
     eval_solution,
     fit_ivp,
@@ -22,6 +18,12 @@ from papperitz.errors import (
 )
 from papperitz.mobius import principal_power
 from papperitz.oracle import residual_scale, residual_z
+from papperitz.params import (
+    DegeneracyClass,
+    EquationParams,
+    Jet2,
+    derive_params,
+)
 from papperitz.selftest import (
     random_equation,
     random_generic_equation,

@@ -11,13 +11,13 @@ from papperitz.errors import (
 )
 from papperitz.hypergeom import (
     EvalStrategy,
-    HypParams,
     gauss_2f1,
     gauss_2f1_jet,
     raw_series,
     select_strategy,
 )
 from papperitz.mobius import principal_power
+from papperitz.params import HypParams
 from papperitz.selftest import random_hyp_params
 
 # F(1,1,2,t) = -ln(1-t)/t; frozen values at t = 0.5 from the closed form:

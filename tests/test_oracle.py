@@ -3,10 +3,7 @@ import pytest
 
 from papperitz.closed_form import (
     BasisMember,
-    EquationParams,
-    Jet2,
     _member_t_jets,
-    derive_params,
     eval_basis,
     eval_solution,
 )
@@ -24,14 +21,15 @@ from papperitz.oracle import (
     _DP_C,
     IntegrationControl,
     PathSpec,
-    VerifyReport,
-    compare_closed_numeric,
     integrate_ivp,
     residual_scale,
     residual_z,
 )
+from papperitz.params import EquationParams, Jet2, derive_params
 from papperitz.selftest import (
     DEFAULT_PATH,
+    VerifyReport,
+    compare_closed_numeric,
     random_generic_equation,
     sample_reachable_point,
 )

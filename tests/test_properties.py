@@ -12,7 +12,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from papperitz import cli  # noqa: E402
-from papperitz.closed_form import EquationParams, derive_params  # noqa: E402
+from papperitz.params import EquationParams, derive_params  # noqa: E402
 from papperitz.errors import NonFiniteParameters  # noqa: E402
 
 finite_complex = st.builds(complex, st.floats(allow_nan=False, allow_infinity=False),
