@@ -6,11 +6,12 @@ unit circle.  Everything stays on the principal branch; points no strategy
 reaches raise a structured error instead of returning a bad value.
 
 One array kernel, :func:`series_jets`, sums a series and its first two
-derivatives in a single pass over an array of arguments, reading the
-coefficients from a table built once per parameter triple.  The transforms
-take F' and F'' from the jets of their transformed series by the chain
-rule.  The functions of one point are wrappers over an array of one, and a
-point's value does not depend on the other points of its array.
+derivatives together over an array of arguments, in passes that go on until
+each point meets the stopping rule, reading the coefficients from a table
+built once per parameter triple.  The transforms take F' and F'' from the
+jets of their transformed series by the chain rule.  The functions of one
+point are wrappers over an array of one, and a point's value does not
+depend on the other points of its array.
 
 The series policy is fixed: REL_TOL, MAX_TERMS and REGION_CUTOFF are module
 constants, read at each call.
@@ -27,6 +28,7 @@ import numpy as np
 from .errors import (
     EvaluationUnreachable,
     NoConvergence,
+    NonFiniteParameters,
     OnBranchCut,
 )
 from .mobius import all_of, any_of, principal_power
@@ -35,11 +37,18 @@ from .params import HypParams, near_integer, nonpositive_integer_near
 #: Half-width of the guard band around the branch cut t in [1, inf).
 BRANCH_CUT_TOL = 1e-12
 
-#: Points times series terms in one block of the kernel.  Its three-row
-#: work arrays take 96 KiB, under glibc's 128 KiB mmap threshold, so each
-#: block reuses heap memory instead of zero-filling fresh pages: an
-#: eval_batch request made ~2,150 minor page faults at 1 << 13, 3 at 1 << 11.
+#: Points times series columns in one block of the kernel.  A pass holds
+#: its BLOCK_TERMS // _PASS_COLUMNS points at _PASS_COLUMNS + 1 columns, the
+#: carried one included, so its three-row work arrays take 99 KiB, under
+#: glibc's 128 KiB mmap threshold: each block reuses heap memory instead of
+#: zero-filling fresh pages.  An eval_batch request made ~2,150 minor page
+#: faults at 1 << 13, and makes fewer than one at 1 << 11.
 BLOCK_TERMS = 1 << 11
+
+#: Columns a pass of the kernel adds to each point it has not released.  It
+#: decides how fast the kernel runs and no value: one pass covers the 97
+#: columns after which 0.7^n, the largest |w| summed, falls below REL_TOL.
+_PASS_COLUMNS = 128
 
 #: Stopping rule of the series: a point stops once two consecutive terms of
 #: each of its three sums are at most this times that sum's partial sum.
@@ -129,68 +138,57 @@ def _table_length(n_terms: int) -> int:
     return max(64, 1 << (n_terms - 1).bit_length())
 
 
-def _initial_terms(radius: float) -> int:
-    """Terms summed first for arguments of modulus <= radius: twice the
-    count after which radius^n falls below REL_TOL, plus 10.  Over the
-    parameters and points of the benchmark's eval workloads (14k series
-    points) the stopping rule released every point by then.  It releases a
-    point only against its own partial sums, and a point it has not
-    released is summed again with four times the terms."""
-    if radius == 0:
-        return min(3, MAX_TERMS + 1)
-    n_terms = 2 * math.log(REL_TOL) / math.log(radius) + 10
-    return int(min(n_terms, MAX_TERMS + 1))
+def _block_jets(p: HypParams, w: np.ndarray, shift: Optional[complex], out: np.ndarray):
+    """Sums one block of points into the columns of out; returns the position
+    of the first point the stopping rule has not released within MAX_TERMS + 1
+    terms, or None.
 
-
-def _block_sums(rows: np.ndarray, w: np.ndarray, rel_tol: Optional[float]):
-    """Partial sums of the three series at every w, summed over the columns
-    of rows, at the column where each point stops, and whether it stopped.
-
-    A point stops at the first column m >= 2 where terms m-1 and m of every
-    sum are at most rel_tol times that sum's partial sum; with rel_tol None
-    every point takes all columns.  Each point's row of powers, terms and
-    partial sums is built by sequential products and sums of its own."""
-    count = len(w)
-    powers = np.empty((count, rows.shape[1]), dtype=complex)
-    powers[:, 0] = 1.0
-    powers[:, 1:] = w[:, None]
-    np.multiply.accumulate(powers, axis=1, out=powers)
-    terms = powers[:, None, :] * rows
-    sums = np.add.accumulate(terms, axis=2)
-    if rel_tol is None or rows.shape[1] < 3:
-        return sums[:, :, -1].T, np.full(count, rel_tol is None)
-    small = np.logical_and.reduce(np.abs(terms) <= rel_tol * np.abs(sums), axis=1)
-    both = small[:, 1:-1] & small[:, 2:]
-    stop = both.argmax(axis=1)
-    every = np.arange(count)
-    return sums[every, :, stop + 2].T, both[every, stop]
-
-
-def _block_jets(p: HypParams, w: np.ndarray, n_terms: int,
-                shift: Optional[complex]):
-    """Sums of one block of points, and the position of the first point the
-    stopping rule has not released within MAX_TERMS + 1 terms, or None.  A
-    truncating series sums exactly its n_terms = k+1 terms.  Points not
-    released are summed again with four times the terms, in blocks of at
-    most BLOCK_TERMS terms again."""
-    if p.truncation_degree() is not None:
-        return _block_sums(_jet_coefficients(p, n_terms, shift), w, None)[0], None
-    rows = _jet_coefficients(p, _table_length(n_terms), shift)[:, :n_terms]
-    sums, done = _block_sums(rows, w, REL_TOL)
-    if all_of(done):
-        return sums, None
-    retry = np.flatnonzero(~done)
-    cap = MAX_TERMS + 1
-    if n_terms >= cap:
-        return sums, int(retry[0])
-    more = min(cap, 4 * n_terms)
-    step = max(1, BLOCK_TERMS // more)
-    for lo in range(0, len(retry), step):
-        idx = retry[lo:lo + step]
-        sums[:, idx], stuck = _block_jets(p, w[idx], more, shift)
-        if stuck is not None:
-            return sums, int(idx[stuck])
-    return sums, None
+    The block is summed in passes of _PASS_COLUMNS columns.  A pass starts
+    from the last column of the one before, with each live point's partial
+    sums and small-term flag carried over, and its powers from the power of
+    the column before that, so each power and partial sum is the same
+    sequential product and sum whatever the pass width.  (numpy forms the
+    products of an accumulate two columns wide with fused multiply-adds,
+    and of a wider one as a scalar loop does, so a pass's powers take at
+    least three.)  A point stops at the first column m >= 2 where terms m-1
+    and m of every sum are at most REL_TOL times that sum's partial sum; a
+    truncating series sums exactly its k+1 columns."""
+    k = p.truncation_degree()
+    cap = MAX_TERMS + 1 if k is None else k + 1
+    live = np.arange(len(w))
+    # the rule starts at m = 2: the flag of column 0 is False
+    power, flag, start = 1.0, np.zeros(len(w), dtype=bool), 0
+    while True:
+        end = min(start + _PASS_COLUMNS + 1, cap)
+        rows = _jet_coefficients(p, _table_length(end), shift)[:, start:end]
+        powers = np.empty((len(w), end - start + 1), dtype=complex)
+        powers[:, 0] = power
+        powers[:, 1:] = w[:, None]
+        if not start:
+            powers[:, 1] = 1.0  # column 0 is w^0 itself
+        np.multiply.accumulate(powers, axis=1, out=powers)
+        terms = powers[:, None, 1:] * rows
+        if start:
+            terms[:, :, 0] = carried
+        sums = np.add.accumulate(terms, axis=2)
+        every = np.arange(len(w))
+        if k is None:
+            small = np.logical_and.reduce(np.abs(terms) <= REL_TOL * np.abs(sums), axis=1)
+            small[:, 0] = flag
+            flag = small[:, -1]
+            both = small[:, :-1] & small[:, 1:]
+            stop = both.argmax(axis=1) + 1
+            done = both[every, stop - 1]
+        else:
+            stop, done = end - start - 1, np.full(len(w), end == cap)
+        # a point not released yet is written again by a later pass
+        out[:, live] = sums[every, :, stop].T
+        keep = ~done
+        live = live[keep]
+        if end == cap or not len(live):
+            return int(live[0]) if len(live) else None
+        w, power, carried, flag = w[keep], powers[keep, -2], sums[keep, :, -1], flag[keep]
+        start = end - 1
 
 
 def series_jets(p: HypParams, w, shift: Optional[complex] = None):
@@ -201,37 +199,27 @@ def series_jets(p: HypParams, w, shift: Optional[complex] = None):
     (index, exception), or None.  |w| < 1 is required unless the series
     truncates; a truncating series sums exactly its k+1 terms at any w, and
     one of more than MAX_TERMS terms fails at its first point.  Points are
-    summed in blocks of at most BLOCK_TERMS terms."""
+    summed in blocks of BLOCK_TERMS // _PASS_COLUMNS points."""
     w = np.asarray(w, dtype=complex)
     count, fault = len(w), None
     k = p.truncation_degree()
-    if k is not None:
-        n_terms = k + 1
-        if n_terms > MAX_TERMS:
-            # the values of a failed array are not used: sum no point
-            count, n_terms = 0, 1
-            fault = (0, NoConvergence(f"series for {p} is a polynomial of degree "
-                                      f"{k:.6g}, beyond the budget of {MAX_TERMS} terms"))
-    else:
+    if k is not None and k + 1 > MAX_TERMS and count:
+        # the values of a failed array are not used: sum no point
+        count, fault = 0, (0, NoConvergence(f"series for {p} is a polynomial of degree "
+                                            f"{k:.6g}, beyond the budget of {MAX_TERMS} terms"))
+    elif k is None:
         radius = np.abs(w)
-        largest = float(np.maximum.reduce(radius, initial=0.0))
-        if not largest < 1.0:
+        if not all_of(radius < 1.0):
+            # the values of a failed array are not used: stop at the failure
             count = int((~(radius < 1.0)).argmax())
             fault = (count, NoConvergence(f"series argument |w|={radius[count]:.6g} "
                                           f"not inside the unit disk and no "
                                           f"truncation applies"))
-            # the values of a failed array are not used: stop at the failure
-            largest = float(np.maximum.reduce(radius[:count], initial=0.0))
-        n_terms = _initial_terms(largest)
-    step = max(1, BLOCK_TERMS // n_terms)
-    if count == len(w) <= step:
-        sums, stuck = _block_jets(p, w, n_terms, shift)
-        if stuck is None:
-            return sums, None
     out = np.zeros((3, len(w)), dtype=complex)
+    step = max(1, BLOCK_TERMS // _PASS_COLUMNS)
     for lo in range(0, count, step):
         block = slice(lo, min(lo + step, count))
-        out[:, block], stuck = _block_jets(p, w[block], n_terms, shift)
+        stuck = _block_jets(p, w[block], shift, out[:, block])
         if stuck is not None:
             i = lo + stuck
             return out, earliest(fault, (i, NoConvergence(
@@ -372,7 +360,13 @@ def _connection_jets(p: HypParams, t: np.ndarray):
     and H the two series of the connection formula; F', F'' by the chain
     rule, the derivatives of (1-t)^s H summed as one series each."""
     s = p.gamma - p.alpha - p.beta
-    c1, c2 = _connection_coefficients(p)
+    try:
+        c1, c2 = _connection_coefficients(p)
+    except (OverflowError, ZeroDivisionError):
+        # the values of a failed array are not used
+        return np.zeros((3, len(t)), dtype=complex), (0, NonFiniteParameters(
+            f"the Gamma-function coefficients of the (1-t) formula for {p} "
+            f"are out of floating-point range"))
     w = 1 - t
     g, fault_g = series_jets(HypParams(p.alpha, p.beta, 1 - s), w)
     h, fault_h = series_jets(HypParams(p.gamma - p.alpha, p.gamma - p.beta, 1 + s),

@@ -583,6 +583,10 @@ BAD_INPUT_CASES = [
       "--z", "0.5,1"), 3),
     # |z + i| overflows: the row is not finite, and z is not the pole z = -i
     (("eval", *ZERO_ABC, "--z", "1.5e308,1.5e308"), 3),
+    # Gamma overflows in the coefficients of the (1-t) connection formula
+    (("eval", "--a", "0,300", "--b", "0,0", "--c", "0,0", "--z", "5,0.1"), 3),
+    # the series coefficients overflow, and the series does not converge
+    (("verify", "--a", "0,300", "--b", "0,0", "--c", "0,0"), 3),
 ]
 
 
@@ -595,3 +599,15 @@ def test_bad_input_exits_with_one_line(capsys, args, expected):
     assert "pole" not in err
     if expected == 1:
         assert err.startswith("papperitz: error: --")
+
+
+@pytest.mark.parametrize("args,expected", BAD_INPUT_CASES,
+                         ids=[" ".join(args) for args, _ in BAD_INPUT_CASES])
+def test_bad_input_leaks_no_warning(capsys, args, expected):
+    import warnings
+
+    # pytest keeps warnings off stderr: make them errors instead
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, _ = run_cli(capsys, *args)
+    assert code == expected

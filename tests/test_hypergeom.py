@@ -260,7 +260,7 @@ def test_kernel_row_independent_of_batch_order_blocks_and_cache(monkeypatch):
         (generic, w, complex(generic.gamma - generic.alpha - generic.beta)),  # connection
         (HypParams(-30, 0.5 + 0.5j, 1.3), 3 * w, None),  # polynomial
         (HypParams(-2500, 1, 2500.5), w, None),  # polynomial longer than a block
-        (HypParams(20, 19.5 + 1j, 1.5), w[:40], None),  # retried with 4x the terms
+        (HypParams(20, 19.5 + 1j, 1.5), w[:40], None),  # summed over several passes
     ]
     assert hypergeom.BLOCK_TERMS < 1 << 13
     for p, args, shift in cases:
@@ -268,6 +268,12 @@ def test_kernel_row_independent_of_batch_order_blocks_and_cache(monkeypatch):
         assert fault is None
         monkeypatch.setattr(hypergeom, "BLOCK_TERMS", 1 << 13)
         assert _bits(series_jets(p, args, shift)[0]) == _bits(now)
+        monkeypatch.undo()
+        # the pass width decides how fast the kernel runs, and no value
+        for width in (1, 2, 3, 1000):
+            monkeypatch.setattr(hypergeom, "_PASS_COLUMNS", width)
+            again, again_fault = series_jets(p, args, shift)
+            assert _bits(again) == _bits(now) and again_fault is fault
         monkeypatch.undo()
 
 
@@ -284,6 +290,27 @@ def test_kernel_reports_the_first_failing_point(monkeypatch):
     monkeypatch.setattr(hypergeom, "MAX_TERMS", 60)
     _, fault = series_jets(p, np.array([0.5, 0.9, 1.2]))
     assert fault[0] == 1 and isinstance(fault[1], NoConvergence)
+
+
+def test_kernel_faults_independent_of_pass_width(monkeypatch):
+    from papperitz import hypergeom
+    from papperitz.hypergeom import series_jets
+
+    def fault_of(*args):
+        i, exc = series_jets(*args)[1]
+        return i, type(exc), str(exc)
+
+    slow = HypParams(20, 19.5 + 1j, 1.5)
+    w = 0.5 * np.exp(1j * np.linspace(-0.5, 0.5, 9))
+    w[5] = 0.2  # released within the budget; its neighbours are not
+    monkeypatch.setattr(hypergeom, "MAX_TERMS", 140)
+    arrays = [(slow, w[4:]), (slow, np.append(w[5:], 1.5)),
+              (HypParams(-141, 1.5, 2.5), w)]
+    expected = [fault_of(p, args) for p, args in arrays]
+    assert [f[0] for f in expected] == [0, 1, 0]
+    for width in (1, 2, 3, 128, 1000):
+        monkeypatch.setattr(hypergeom, "_PASS_COLUMNS", width)
+        assert [fault_of(p, args) for p, args in arrays] == expected
 
 
 def test_polynomial_table_stops_before_vanishing_gamma_factor():
@@ -350,8 +377,8 @@ def test_jets_against_mpmath(strategy):
 
 
 def test_kernel_sums_again_the_points_it_has_not_released(monkeypatch):
-    # large alpha, beta: the terms grow for ~60 steps before they decay, past
-    # the count the kernel takes first from |w| alone
+    # large alpha, beta: the terms grow for ~60 steps before they decay, and
+    # each point is released after 150-200 terms, in the kernel's second pass
     from papperitz import hypergeom
     from papperitz.hypergeom import series_jets
 
