@@ -18,7 +18,6 @@ from typing import List, Optional
 
 from .errors import (
     DegenerateBasis,
-    DegenerateWronskian,
     EvaluationUnreachable,
     NoConvergence,
     NonFinitePath,
@@ -369,9 +368,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     except UsageError as exc:
         print(f"papperitz: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except DegenerateWronskian as exc:
-        print(f"papperitz: degenerate: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
     except (NoConvergence, NonFiniteParameters, NonFiniteSolution,
             StepLimitExceeded) as exc:
         print(f"papperitz: error: {exc}", file=sys.stderr)

@@ -15,7 +15,7 @@ from .errors import (
     InvalidGamma,
     ZeroBaseNonpositiveExponent,
 )
-from .hypergeom import earliest, evaluable, gauss_2f1_jets
+from .hypergeom import earliest, evaluable, first_point, gauss_2f1_jets
 from .mobius import any_of, forward_jets, principal_power
 from .params import DegeneracyClass, DerivedParams, HypParams, Jet2
 
@@ -29,10 +29,8 @@ def basis_hyp_params(d: DerivedParams, which: BasisMember) -> HypParams:
     """Hypergeometric parameters of one basis member; raises DegenerateBasis
     when that member does not exist."""
     if which is BasisMember.FIRST:
-        try:
-            return HypParams(d.alpha, d.beta, d.gamma)
-        except InvalidGamma as exc:
-            raise DegenerateBasis(f"first basis member invalid: {exc}") from exc
+        # gamma = 1 + delta has Re gamma >= 1: it is never a nonpositive integer
+        return HypParams(d.alpha, d.beta, d.gamma)
     if d.degeneracy is DegeneracyClass.REPEATED_EXPONENT:
         raise DegenerateBasis("repeated exponent: the second member "
                               "coincides with the first")
@@ -76,29 +74,27 @@ def _member_t_jets(d: DerivedParams, which: BasisMember, t: np.ndarray):
     ]), fault
 
 
-def _z_jets(d: DerivedParams, members, z):
-    """Sum of coefficient * member over (member, coefficient) pairs, a
-    coefficient None standing for 1, as a (3, n) array of z-jets at every z
-    of a 1-D array, and the fault of the first point that fails.
+def basis_jets(d: DerivedParams, members, z):
+    """z-jets of each of a list of basis members at every z of a 1-D array,
+    as an array of shape (members, 3, n), and the first point that fails,
+    as (index, exception), or None; the values of a failed array are not
+    to be used.
 
-    Faults are keyed by (point, stage), stage 0 being the map's pole and
-    stage k the k-th member, the order in which a point-by-point evaluation
-    meets them.  The values of a failed array are not to be used, so after
-    a fault only the points before it are evaluated."""
+    The map's jets are computed once.  Faults are ordered by (point, stage),
+    stage 0 being the map's pole and stage k the k-th member, the order in
+    which a point-by-point evaluation meets them, and each member is
+    evaluated only at the points before the first fault met so far; with
+    no member, no point is evaluated and none fails."""
     z = np.asarray(z, dtype=complex)
-    out = np.zeros((3, len(z)), dtype=complex)
-    if not members:
-        return out, None
+    jets = np.zeros((len(members), 3, len(z)), dtype=complex)
     t, tp, tpp, fault = forward_jets(z)
-    faults = [] if fault is None else [((fault[0], 0), fault[1])]
-    count = len(z)
-    for stage, (which, coef) in enumerate(members, 1):
+    faults = [] if fault is None or not members else [((fault[0], 0), fault[1])]
+    for stage, which in enumerate(members, 1):
         first = earliest(*faults)
-        if first is not None:
-            count = first[0][0]
-            if not count:
-                break
-            t, tp, tpp = t[:count], tp[:count], tpp[:count]
+        count = len(z) if first is None else first[0][0]
+        if not count:
+            break
+        t, tp, tpp = t[:count], tp[:count], tpp[:count]
         try:
             jt, fault = _member_t_jets(d, which, t)
         except DegenerateBasis as exc:
@@ -106,30 +102,20 @@ def _z_jets(d: DerivedParams, members, z):
             continue
         if fault is not None:
             faults.append(((fault[0], stage), fault[1]))
-        jz = np.array([jt[0], jt[1] * tp, jt[2] * tp * tp + jt[1] * tpp])
-        if coef is not None:
-            jz *= coef
-        out[:, :count] += jz
-    return out, earliest(*faults)
+        jets[stage - 1, :, :count] = jt[0], jt[1] * tp, jt[2] * tp * tp + jt[1] * tpp
+    first = earliest(*faults)
+    return jets, None if first is None else (first[0][0], first[1])
 
 
-def _first_point(jets: np.ndarray, fault) -> Jet2:
-    if fault is not None:
-        raise fault[1]
-    return Jet2(*jets[:, 0].tolist())
-
-
-def basis_jets(d: DerivedParams, which: BasisMember, z):
-    """z-jets of one basis member at every z of a 1-D array, as a (3, n)
-    array, and the first point that fails, as (index, exception), or None;
-    the values of a failed array are not to be used."""
-    jets, fault = _z_jets(d, [(which, None)], z)
-    return jets, None if fault is None else (fault[0][0], fault[1])
+def _point_jets(d: DerivedParams, members, z: complex) -> list:
+    """Jet2 of each basis member at one z; raises the error met first."""
+    jets, fault = basis_jets(d, members, [complex(z)])
+    return [Jet2(*first_point(jz, fault)) for jz in jets]
 
 
 def eval_basis(d: DerivedParams, which: BasisMember, z: complex) -> Jet2:
     """z-jet of one basis member, by the chain rule through t(z)."""
-    return _first_point(*basis_jets(d, which, [complex(z)]))
+    return _point_jets(d, [which], z)[0]
 
 
 def solution_jets(d: DerivedParams, c1: complex, c2: complex, z):
@@ -142,24 +128,24 @@ def solution_jets(d: DerivedParams, c1: complex, c2: complex, z):
     A coefficient that is exactly zero skips its member, so a degenerate
     member is tolerated when it does not contribute.
     """
-    members = [(which, c) for which, c in ((BasisMember.FIRST, c1),
-                                           (BasisMember.SECOND, c2)) if c != 0]
-    jets, fault = _z_jets(d, members, z)
-    if fault is not None:
-        fault = (fault[0][0], fault[1])
-    return Jet2(*jets), fault
+    terms = [(which, c) for which, c in zip(BasisMember, (c1, c2)) if c != 0]
+    jets, fault = basis_jets(d, [which for which, _ in terms], z)
+    out = np.zeros((3, len(z)), dtype=complex)
+    for jz, (_, c) in zip(jets, terms):
+        jz *= c
+        out += jz
+    return Jet2(*out), fault
 
 
 def eval_solution(d: DerivedParams, c1: complex, c2: complex, z: complex) -> Jet2:
     """Jet of c1 * (first member) + c2 * (second member) at one z."""
     jet, fault = solution_jets(d, c1, c2, [complex(z)])
-    return _first_point(np.array([jet.y, jet.dy, jet.d2y]), fault)
+    return Jet2(*first_point(np.array([jet.y, jet.dy, jet.d2y]), fault))
 
 
 def wronskian(d: DerivedParams, z: complex) -> complex:
     """y1 y2' - y2 y1' at z."""
-    j1 = eval_basis(d, BasisMember.FIRST, z)
-    j2 = eval_basis(d, BasisMember.SECOND, z)
+    j1, j2 = _point_jets(d, list(BasisMember), z)
     return j1.y * j2.dy - j2.y * j1.dy
 
 
@@ -168,8 +154,7 @@ def fit_ivp(d: DerivedParams, z0: complex, y0: complex, dy0: complex):
     if d.degeneracy is DegeneracyClass.REPEATED_EXPONENT:
         raise DegenerateWronskian("repeated exponent: the Wronskian of the "
                                   "closed-form pair vanishes identically")
-    j1 = eval_basis(d, BasisMember.FIRST, z0)
-    j2 = eval_basis(d, BasisMember.SECOND, z0)
+    j1, j2 = _point_jets(d, list(BasisMember), z0)
     w = j1.y * j2.dy - j2.y * j1.dy
     scale = abs(j1.y) * abs(j2.dy) + abs(j2.y) * abs(j1.dy)
     if abs(w) < 1e-10 * scale:

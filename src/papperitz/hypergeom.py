@@ -90,8 +90,7 @@ _STRATEGIES = tuple(EvalStrategy)
 # -- the kernel ---------------------------------------------------------------
 
 @functools.lru_cache(maxsize=32)
-def _jet_coefficients(p: HypParams, length: int,
-                      shift: Optional[complex] = None) -> np.ndarray:
+def _jet_coefficients(p: HypParams, length: int, shift: Optional[complex] = None):
     """Rows c_n, (n+1) c_{n+1} and (n+1)(n+2) c_{n+2} for n < length, where
     c_n are the series coefficients, the cumulative product of the term
     ratios: summed against w^n they give S, S' and S''.  With a shift s the
@@ -99,7 +98,8 @@ def _jet_coefficients(p: HypParams, length: int,
     w^-s (w^s S), w^(1-s) (w^s S)' and w^(2-s) (w^s S)'' with no
     cancellation between S and its derivatives.  A truncating series stops
     at its degree k, before the factor (gamma + m) that may vanish, and its
-    rows are zero beyond it.
+    rows are zero beyond it.  Returns the rows and their first column that
+    is not finite, or length when every column is.
 
     Every entry is computed on its own or by a sequential product, so a
     longer table starts with the bits of a shorter one."""
@@ -112,10 +112,13 @@ def _jet_coefficients(p: HypParams, length: int,
     c[1:m] = (a + n[:m - 1]) * (b + n[:m - 1]) / ((g + n[:m - 1]) * n1[:m - 1])
     np.multiply.accumulate(c[:m], out=c[:m])
     if shift is None:
-        return _frozen(falling[:, :length] * np.array([c[:-2], c[1:-1], c[2:]]))
-    c = c[:length]
-    sn = shift + n[:length]
-    return _frozen(np.array([c, sn * c, sn * (sn - 1) * c]))
+        table = falling[:, :length] * np.array([c[:-2], c[1:-1], c[2:]])
+    else:
+        c = c[:length]
+        sn = shift + n[:length]
+        table = np.array([c, sn * c, sn * (sn - 1) * c])
+    finite = all_of(np.isfinite(table), axis=0)
+    return _frozen(table), length if all_of(finite) else int(finite.argmin())
 
 
 @functools.lru_cache(maxsize=8)
@@ -139,9 +142,11 @@ def _table_length(n_terms: int) -> int:
 
 
 def _block_jets(p: HypParams, w: np.ndarray, shift: Optional[complex], out: np.ndarray):
-    """Sums one block of points into the columns of out; returns the position
-    of the first point the stopping rule has not released within MAX_TERMS + 1
-    terms, or None.
+    """Sums one block of points into the columns of out; returns the fault of
+    the first point the stopping rule has not released, as (position,
+    exception), or None.  A point fails NoConvergence when it is not released
+    within MAX_TERMS + 1 terms, and NonFiniteParameters when it is not
+    released before the first column of the table that is not finite.
 
     The block is summed in passes of _PASS_COLUMNS columns.  A pass starts
     from the last column of the one before, with each live point's partial
@@ -160,7 +165,14 @@ def _block_jets(p: HypParams, w: np.ndarray, shift: Optional[complex], out: np.n
     power, flag, start = 1.0, np.zeros(len(w), dtype=bool), 0
     while True:
         end = min(start + _PASS_COLUMNS + 1, cap)
-        rows = _jet_coefficients(p, _table_length(end), shift)[:, start:end]
+        table, finite = _jet_coefficients(p, _table_length(end), shift)
+        if finite <= start + 1:
+            # no column is left to release a live point at
+            return int(live[0]), NonFiniteParameters(
+                f"the series coefficients of {p} overflow at term {finite}, "
+                f"before the series at w={complex(w[0])} met its stopping rule")
+        end = min(end, finite)
+        rows = table[:, start:end]
         powers = np.empty((len(w), end - start + 1), dtype=complex)
         powers[:, 0] = power
         powers[:, 1:] = w[:, None]
@@ -185,8 +197,12 @@ def _block_jets(p: HypParams, w: np.ndarray, shift: Optional[complex], out: np.n
         out[:, live] = sums[every, :, stop].T
         keep = ~done
         live = live[keep]
-        if end == cap or not len(live):
-            return int(live[0]) if len(live) else None
+        if not len(live):
+            return None
+        if end == cap:
+            return int(live[0]), NoConvergence(
+                f"series for {p} at w={complex(w[keep][0])} did not converge "
+                f"within {MAX_TERMS} terms")
         w, power, carried, flag = w[keep], powers[keep, -2], sums[keep, :, -1], flag[keep]
         start = end - 1
 
@@ -221,10 +237,7 @@ def series_jets(p: HypParams, w, shift: Optional[complex] = None):
         block = slice(lo, min(lo + step, count))
         stuck = _block_jets(p, w[block], shift, out[:, block])
         if stuck is not None:
-            i = lo + stuck
-            return out, earliest(fault, (i, NoConvergence(
-                f"series for {p} at w={complex(w[i])} did not converge within "
-                f"{MAX_TERMS} terms")))
+            return out, earliest(fault, (lo + stuck[0], stuck[1]))
     return out, fault
 
 
@@ -232,17 +245,17 @@ def series_jets(p: HypParams, w, shift: Optional[complex] = None):
 
 def _regions(p: HypParams, t: np.ndarray):
     """Strategy code of every t and the mask of the points on the branch
-    cut, which only a truncating series is evaluated on.  The mask is None
-    when every point takes the same strategy and none is on the cut."""
+    cut, which only a truncating series is evaluated on: the mask is all
+    False for a truncating series and when every point is summed directly."""
     codes = np.zeros(len(t), dtype=np.intp)  # zero is DirectSeries
     if p.truncation_degree() is not None:
         codes.fill(_POLYNOMIAL)
-        return codes, None
+        return codes, np.zeros(len(t), dtype=bool)
     cut = REGION_CUTOFF
     mod_t = np.abs(t)
     direct = mod_t <= cut
     if all_of(direct):
-        return codes, None
+        return codes, ~direct  # all False
     codes.fill(_UNREACHABLE)
     mod_1mt = np.abs(1 - t)
     if not near_integer(p.gamma - p.alpha - p.beta):
@@ -274,8 +287,7 @@ def evaluable(p: HypParams, t) -> np.ndarray:
     a strategy reaches them and, unless the series truncates, they are off
     the branch cut."""
     codes, on_cut = _regions(p, np.asarray(t, dtype=complex))
-    reached = codes != _UNREACHABLE
-    return reached if on_cut is None else reached & ~on_cut
+    return (codes != _UNREACHABLE) & ~on_cut
 
 
 def _region_error(t: complex, on_cut: bool) -> Exception:
@@ -394,28 +406,20 @@ def gauss_2f1_jets(p: HypParams, t):
 
     Returns a (3, n) array and the fault of the first point that fails, as
     (index, exception), or None; the values of a failed array are not to be
-    used.  Each strategy's points go to the kernel together."""
+    used.  The first point on the cut or out of reach is recorded, then
+    each strategy's other points go to the kernel together."""
     t = np.asarray(t, dtype=complex)
-    if not len(t):
-        return np.zeros((3, 0), dtype=complex), None
     codes, on_cut = _regions(p, t)
-    if on_cut is None:
-        return _JETS[codes[0]](p, t)
-    jets = np.zeros((3, len(t)), dtype=complex)
     bad = on_cut | (codes == _UNREACHABLE)
     faults = []
     if any_of(bad):
         i = int(bad.argmax())
         faults.append((i, _region_error(complex(t[i]), bool(on_cut[i]))))
-        if not i:
-            return jets, faults[0]
-        # the values of a failed array are not used: stop at the failure
-        bad[i:] = True
-    elif all_of(codes == codes[0]):
-        return _JETS[codes[0]](p, t)
+        codes[bad] = _UNREACHABLE  # a point on the cut is not evaluated either
+    jets = np.zeros((3, len(t)), dtype=complex)
     # sorted(set()) and not np.unique, which imports numpy.ma (~1.3 MB)
-    for code in sorted(set(codes[~bad].tolist())):
-        idx = np.flatnonzero((codes == code) & ~bad)
+    for code in sorted(set(codes.tolist()) - {_UNREACHABLE}):
+        idx = (codes == code).nonzero()[0]
         jets[:, idx], fault = _JETS[code](p, t[idx])
         if fault is not None:
             faults.append((int(idx[fault[0]]), fault[1]))
@@ -424,7 +428,8 @@ def gauss_2f1_jets(p: HypParams, t):
 
 # -- one point --------------------------------------------------------------------
 
-def _first_point(values: np.ndarray, fault: Fault) -> list:
+def first_point(values: np.ndarray, fault: Fault) -> list:
+    """The values of the first point of an array; raises its fault."""
     if fault is not None:
         raise fault[1]
     return values[:, 0].tolist()
@@ -432,12 +437,12 @@ def _first_point(values: np.ndarray, fault: Fault) -> list:
 
 def raw_series(p: HypParams, w: complex) -> complex:
     """Plain series sum; |w| < 1 required unless the series truncates."""
-    return _first_point(*series_jets(p, [complex(w)]))[0]
+    return first_point(*series_jets(p, [complex(w)]))[0]
 
 
 def gauss_2f1_jet(p: HypParams, t: complex):
     """(F, F', F'') at t; the workhorse for chain-rule evaluations."""
-    return tuple(_first_point(*gauss_2f1_jets(p, [complex(t)])))
+    return tuple(first_point(*gauss_2f1_jets(p, [complex(t)])))
 
 
 def gauss_2f1(p: HypParams, t: complex) -> complex:

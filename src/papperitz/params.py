@@ -40,7 +40,6 @@ class EquationParams:
 class DegeneracyClass(Enum):
     GENERIC = "Generic"
     REPEATED_EXPONENT = "RepeatedExponent"
-    FIRST_BASIS_INVALID = "FirstBasisInvalid"
     SECOND_BASIS_INVALID = "SecondBasisInvalid"
 
 
@@ -156,8 +155,6 @@ def derive_params(p: EquationParams) -> DerivedParams:
 
     if abs(delta) <= DEGENERACY_TOL:
         degeneracy = DegeneracyClass.REPEATED_EXPONENT
-    elif not _basis_ok(alpha, beta, gamma):
-        degeneracy = DegeneracyClass.FIRST_BASIS_INVALID
     elif not _basis_ok(alpha - gamma + 1, beta - gamma + 1, 2 - gamma):
         degeneracy = DegeneracyClass.SECOND_BASIS_INVALID
     else:

@@ -148,19 +148,13 @@ def suite_hypergeom_identities(rng, n: int) -> Check:
 
 def member_jets(d: DerivedParams, points) -> List[Tuple[Jet2, ...]]:
     """Jets of the basis members at each point, in BasisMember order, from
-    one array evaluation per member; a point's jets are those eval_basis
-    gives it.  Raises the error a point-by-point evaluation meets first."""
-    z = np.array(points, dtype=complex)
-    members, faults = [], []
-    for k, which in enumerate(BasisMember):
-        jets, fault = basis_jets(d, which, z)
-        if fault is not None:
-            faults.append(((fault[0], k), fault[1]))
-        members.append([Jet2(*jet) for jet in jets.T.tolist()])
-    first = hypergeom.earliest(*faults)
-    if first is not None:
-        raise first[1]
-    return list(zip(*members))
+    one array evaluation; a point's jets are those eval_basis gives it.
+    Raises the error a point-by-point evaluation meets first."""
+    jets, fault = basis_jets(d, list(BasisMember), points)
+    if fault is not None:
+        raise fault[1]
+    per_point = jets.transpose(2, 0, 1).tolist()  # point, member, jet
+    return [tuple(Jet2(*jet) for jet in members) for members in per_point]
 
 
 def suite_residuals(rng, n_draws: int, n_points: int) -> Check:

@@ -1,5 +1,6 @@
 import cmath
 import math
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from papperitz.errors import (
     DegenerateBasis,
     DegenerateWronskian,
     NonFiniteParameters,
+    PapperitzError,
 )
 from papperitz.mobius import principal_power
 from papperitz.oracle import residual_scale, residual_z
@@ -112,7 +114,7 @@ def test_degeneracy_classification():
     assert derive_params(EquationParams(0, 0, 0)).degeneracy \
         is DegeneracyClass.GENERIC
     # gamma = 1 + delta = -1 needs delta = -2: impossible for a principal
-    # root, so FirstBasisInvalid requires alpha/beta integer clashes instead;
+    # root, so the first member is always valid;
     # a = 4, b = c = 0 gives beta = -3 (fine: polynomial) and gamma = 4.
     d = derive_params(EquationParams(4, 0, 0))
     assert d.degeneracy in (DegeneracyClass.GENERIC,
@@ -314,3 +316,58 @@ def test_derive_params_overflow_is_a_structured_error():
             derive_params(EquationParams(a, b, c))
     d = derive_params(EquationParams(0, 1e300, 0))
     assert d.delta == 2e150 and d.gamma == 2e150
+
+
+def _first_error(calls):
+    """(index, type, message) of the first call that raises, or None."""
+    for i, call in enumerate(calls):
+        try:
+            call()
+        except PapperitzError as exc:
+            return i, type(exc), str(exc)
+    return None
+
+
+def test_array_faults_equal_point_by_point_faults(monkeypatch):
+    from papperitz import closed_form, selftest
+
+    rng = np.random.default_rng(52)
+    generic = [random_generic_equation(rng)[1] for _ in range(4)]
+    pool = [sample_reachable_point(d, rng) for d in generic for _ in range(3)]
+    specials = [-1j, complex(-math.sqrt(3), 0), 1j]  # pole, |t| = 1, t = 0
+    # a repeated exponent: the second member is degenerate
+    repeated = [derive_params(EquationParams(a, b, 0))
+                for a, b in ((0, -0.25), (0.5, -0.0625), (3, -1))]
+    assert all(d.degeneracy is DegeneracyClass.REPEATED_EXPONENT for d in repeated)
+    for d in generic + repeated:
+        for _ in range(12):
+            points = [specials[rng.integers(3)] if rng.uniform() < 0.2
+                      else pool[rng.integers(len(pool))]
+                      for _ in range(rng.integers(1, 13))]
+            c2 = 0 if rng.uniform() < 0.3 else 0.5 + 0.25j
+            jet, fault = closed_form.solution_jets(d, 1, c2, np.array(points))
+            expected = _first_error([lambda z=z: eval_solution(d, 1, c2, z)
+                                     for z in points])
+            assert (fault and (fault[0], type(fault[1]), str(fault[1]))) == expected
+            if fault is None:
+                assert jet.y.tolist() == [eval_solution(d, 1, c2, z).y for z in points]
+            # a loop over points, then members
+            expected = _first_error([lambda z=z, which=which: eval_basis(d, which, z)
+                                     for z in points for which in BasisMember])
+            with pytest.raises(PapperitzError) if expected else nullcontext() as raised:
+                selftest.member_jets(d, points)
+            if expected:
+                assert (type(raised.value), str(raised.value)) == expected[1:]
+    # one map evaluation serves every member
+    calls = []
+    forward_jets = closed_form.forward_jets
+    monkeypatch.setattr(closed_form, "forward_jets",
+                        lambda z: calls.append(z) or forward_jets(z))
+    d, z = generic[0], pool[0]
+    for evaluate in (lambda: selftest.member_jets(d, pool[:3]),
+                     lambda: closed_form.solution_jets(d, 1, 0.5, np.array(pool[:3])),
+                     lambda: closed_form.wronskian(d, z),
+                     lambda: closed_form.fit_ivp(d, z, 1.0, 0.0)):
+        calls.clear()
+        evaluate()
+        assert len(calls) == 1

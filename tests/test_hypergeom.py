@@ -7,6 +7,7 @@ from papperitz.errors import (
     EvaluationUnreachable,
     InvalidGamma,
     NoConvergence,
+    NonFiniteParameters,
     OnBranchCut,
 )
 from papperitz.hypergeom import (
@@ -410,3 +411,30 @@ def test_polynomial_beyond_the_term_budget_fails_no_convergence(monkeypatch):
     with pytest.raises(NoConvergence, match="polynomial of degree 2e"):
         raw_series(huge, 0.5)
     assert series_jets(huge, np.zeros(0))[1] is None
+
+
+def test_kernel_reports_a_coefficient_overflow(monkeypatch):
+    from papperitz import hypergeom
+    from papperitz.hypergeom import series_jets
+
+    # c_n of this triple overflow from n ~ 670 on, while the terms c_n w^n
+    # at |w| ~ 0.6 would peak near 1e172 and stay finite
+    p = HypParams(2 - 600j, 1 - 300j, 2 - 300j)
+    w = np.array([0.01, 0.02j, 0.54 - 0.31j, 0.6])
+    shift = complex(p.gamma - p.alpha - p.beta)
+    for s in (None, shift):
+        hypergeom._jet_coefficients.cache_clear()
+        with np.errstate(over="ignore", invalid="ignore"):
+            values, fault = series_jets(p, w, s)
+            released, none = series_jets(p, w[:2], s)
+            for width in (1, 2, 3, 1000):
+                monkeypatch.setattr(hypergeom, "_PASS_COLUMNS", width)
+                again = series_jets(p, w, s)
+                assert _bits(again[0][:, :2]) == _bits(values[:, :2])
+                assert (again[1][0], str(again[1][1])) == (fault[0], str(fault[1]))
+            monkeypatch.undo()
+        # the points released before the overflow keep their values
+        assert none is None and np.isfinite(released).all()
+        assert _bits(values[:, :2]) == _bits(released)
+        assert fault[0] == 2 and isinstance(fault[1], NonFiniteParameters)
+        assert "overflow" in str(fault[1])

@@ -13,7 +13,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from papperitz import cli  # noqa: E402
-from papperitz.params import EquationParams, derive_params  # noqa: E402
+from papperitz.params import EquationParams, HypParams, derive_params  # noqa: E402
 from papperitz.errors import NonFiniteParameters  # noqa: E402
 
 finite_complex = st.builds(complex, st.floats(allow_nan=False, allow_infinity=False),
@@ -45,6 +45,9 @@ def test_params_are_finite_or_a_structured_error(a, b, c):
     else:
         assert all(map(cmath.isfinite, (d.delta, d.delta_star, d.lam, d.lam2,
                                         d.alpha, d.beta, d.gamma)))
+        # the first member is always valid: gamma = 1 + delta, Re delta >= 0
+        assert d.gamma.real >= 1
+        HypParams(d.alpha, d.beta, d.gamma)
     argv = ["params", "--json"]
     for name, v in (("--a", a), ("--b", b), ("--c", c)):
         argv += [name, f"{v.real!r},{v.imag!r}"]
