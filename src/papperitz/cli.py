@@ -54,16 +54,19 @@ def parse_complex(text: str) -> complex:
     parts = text.split(",")
     if len(parts) != 2:
         raise UsageError(f"complex literal must be RE,IM: {text!r}")
-    return _finite_complex(parts[0], parts[1], text)
+    return _finite_complex(parts[0], parts[1])
 
 
-def _finite_complex(re_text: str, im_text: str, literal: str) -> complex:
+def _finite_complex(re_text: str, im_text: str) -> complex:
+    """The complex number of the literal "re_text,im_text"."""
     try:
         re, im = float(re_text), float(im_text)
     except ValueError as exc:
-        raise UsageError(f"bad complex literal {literal!r}: {exc}") from exc
+        raise UsageError(f"bad complex literal {re_text + ',' + im_text!r}: "
+                         f"{exc}") from exc
     if not (math.isfinite(re) and math.isfinite(im)):
-        raise UsageError(f"complex literal must be finite: {literal!r}")
+        raise UsageError(f"complex literal must be finite: "
+                         f"{re_text + ',' + im_text!r}")
     return complex(re, im)
 
 
@@ -159,9 +162,7 @@ def cmd_params(args) -> int:
     p = _equation(args)
     d = derive_params(p)
     if args.as_json:
-        json.dump({"params": _params_dict(p), "derived": _derived_dict(d)},
-                  sys.stdout)
-        sys.stdout.write("\n")
+        _write_json({"params": _params_dict(p), "derived": _derived_dict(d)})
     else:
         for key, val in _derived_dict(d).items():
             print(f"{key} = {val}")
@@ -170,39 +171,50 @@ def cmd_params(args) -> int:
 
 def _read_points(path: str) -> List[complex]:
     """The z_re,z_im rows of a CSV file; every value must parse as a
-    finite number, as for --z."""
+    finite number, as for --z.  The first row is the header, where the last
+    of a repeated column name counts; blank rows are skipped, and extra
+    columns and values are ignored, as the csv module's dict reader reads
+    them."""
     points: List[complex] = []
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.DictReader(fh)
-            if not {"z_re", "z_im"} <= set(reader.fieldnames or ()):
+            rows = csv.reader(fh)
+            # the index of the last column of each name in the header
+            columns = {name: i for i, name in enumerate(next(rows, ()))}
+            if not {"z_re", "z_im"} <= columns.keys():
                 raise UsageError(f"points file {path!r} needs z_re and z_im columns")
-            for row in reader:
-                re, im = row["z_re"], row["z_im"]
-                try:
-                    if re is None or im is None:
+            i_re, i_im = columns["z_re"], columns["z_im"]
+            width = max(i_re, i_im) + 1
+            try:
+                for row in rows:
+                    if len(row) >= width:
+                        points.append(_finite_complex(row[i_re], row[i_im]))
+                    elif row:
                         raise UsageError("missing z_re or z_im value")
-                    points.append(_finite_complex(re, im, f"{re},{im}"))
-                except UsageError as exc:
-                    raise UsageError(f"points file {path!r}, line "
-                                     f"{reader.line_num}: {exc}") from exc
+            except UsageError as exc:
+                raise UsageError(f"points file {path!r}, line "
+                                 f"{rows.line_num}: {exc}") from exc
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise UsageError(f"cannot read points file {path!r}: {exc}") from exc
     return points
 
 
+def _write_json(obj):
+    sys.stdout.write(json.dumps(obj) + "\n")
+
+
 def _write_rows(header: List[str], rows, as_json: bool, head: dict):
-    """Rows of Python floats in the order of header, as CSV, where the csv
-    module writes each float as its repr, or as JSON objects under "rows"
-    after the entries of head."""
+    """Rows of Python floats in the order of header, as CSV, or as JSON
+    objects under "rows" after the entries of head, either written as one
+    string.  A CSV float is its repr, which holds no delimiter, quote or
+    line break: the bytes the csv module's writer writes."""
     if as_json:
-        json.dump({**head, "rows": [dict(zip(header, row)) for row in rows]},
-                  sys.stdout)
-        sys.stdout.write("\n")
+        _write_json({**head, "rows": [dict(zip(header, row)) for row in rows]})
     else:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(header)
-        writer.writerows(rows)
+        lines = [",".join(header)]
+        lines.extend(",".join(map(repr, row)) for row in rows)
+        lines.append("")
+        sys.stdout.write("\r\n".join(lines))
 
 
 def _eval_points(args) -> List[complex]:

@@ -109,14 +109,16 @@ def _jet_coefficients(p: HypParams, length: int, shift: Optional[complex] = None
     n, n1, falling = _counts(length + 1)
     c = np.zeros(length + 2, dtype=complex)
     c[0] = 1.0
-    c[1:m] = (a + n[:m - 1]) * (b + n[:m - 1]) / ((g + n[:m - 1]) * n1[:m - 1])
-    np.multiply.accumulate(c[:m], out=c[:m])
-    if shift is None:
-        table = falling[:, :length] * np.array([c[:-2], c[1:-1], c[2:]])
-    else:
-        c = c[:length]
-        sn = shift + n[:length]
-        table = np.array([c, sn * c, sn * (sn - 1) * c])
+    # an overflow is reported by the finite column returned, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        c[1:m] = (a + n[:m - 1]) * (b + n[:m - 1]) / ((g + n[:m - 1]) * n1[:m - 1])
+        np.multiply.accumulate(c[:m], out=c[:m])
+        if shift is None:
+            table = falling[:, :length] * np.array([c[:-2], c[1:-1], c[2:]])
+        else:
+            c = c[:length]
+            sn = shift + n[:length]
+            table = np.array([c, sn * c, sn * (sn - 1) * c])
     finite = all_of(np.isfinite(table), axis=0)
     return _frozen(table), length if all_of(finite) else int(finite.argmin())
 

@@ -309,9 +309,22 @@ def test_eval_points_undecodable_bytes(tmp_path, capsys):
     assert err.startswith("papperitz: error: cannot read points file")
 
 
+def _seeded_floats(seed, count):
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    mantissas = rng.uniform(-10, 10, count)
+    exponents = rng.integers(-320, 308, count)
+    drawn = [float(m) * 10.0 ** int(e) for m, e in zip(mantissas, exponents)]
+    special = [-0.0, 0.0, 5e-324, -5e-324, 1e-05, 1e16, 1e308, -1e308,
+               1.0, -3.0, 12345678.0, 2.0 ** 53, 1e22, 0.1, 1 / 3]
+    return special + drawn + [float(round(m)) for m in mantissas[:20]]
+
+
 def test_rows_write_floats_as_repr(capsys):
     floats = (-0.0, 5e-324, 1e16, 1e308, 0.1, 1 / 3)
-    rows = [floats, floats[::-1]]
+    more = _seeded_floats(5, 385)
+    rows = [floats, floats[::-1]] + [tuple(more[i:i + 6]) for i in range(0, len(more), 6)]
     cli._write_rows(["f"] * 6, iter(rows), False, {})
     assert capsys.readouterr().out == "".join(
         ",".join(row) + "\r\n" for row in [["f"] * 6] + [map(repr, r) for r in rows])
@@ -320,6 +333,139 @@ def test_rows_write_floats_as_repr(capsys):
     assert out == json.dumps({"head": 1, "rows": [dict(zip("abcdef", r))
                                                   for r in rows]}) + "\n"
     assert [tuple(r.values()) for r in json.loads(out)["rows"]] == rows
+
+
+def _reference_finite_complex(re_text, im_text, literal):
+    try:
+        re, im = float(re_text), float(im_text)
+    except ValueError as exc:
+        raise cli.UsageError(f"bad complex literal {literal!r}: {exc}") from exc
+    if not (math.isfinite(re) and math.isfinite(im)):
+        raise cli.UsageError(f"complex literal must be finite: {literal!r}")
+    return complex(re, im)
+
+
+def _reference_read_points(path):
+    """The points reader as it was written with csv.DictReader: the
+    reference whose points and error messages cli._read_points keeps."""
+    points = []
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.DictReader(fh)
+            if not {"z_re", "z_im"} <= set(reader.fieldnames or ()):
+                raise cli.UsageError(f"points file {path!r} needs z_re and z_im columns")
+            for row in reader:
+                re, im = row["z_re"], row["z_im"]
+                try:
+                    if re is None or im is None:
+                        raise cli.UsageError("missing z_re or z_im value")
+                    points.append(_reference_finite_complex(re, im, f"{re},{im}"))
+                except cli.UsageError as exc:
+                    raise cli.UsageError(f"points file {path!r}, line "
+                                         f"{reader.line_num}: {exc}") from exc
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise cli.UsageError(f"cannot read points file {path!r}: {exc}") from exc
+    return points
+
+
+# points files that a reader may get wrong, as bytes, or None for no file
+ODD_POINTS_FILES = {
+    "missing file": None,
+    "plain": b"z_re,z_im\n0.5,1.5\n-1,2\n",
+    "blank lines": b"z_re,z_im\n\n0.5,1.5\n\n\n-1,2\n\n",
+    "blank first line": b"\nz_re,z_im\n0.5,1.5\n",
+    # the dict reader's fieldnames property, read after it skips blank rows,
+    # sets its line_num to the line of the row itself
+    "blank lines before a bad row": b"z_re,z_im\n0.5,1.5\n\n\nabc,1\n",
+    "blank lines before a short row": b"z_re,z_im\n\n0.25\n",
+    "repeated column": b"z_re,z_im,z_re\n0.5,1.5,3\n-1,2,4\n",
+    "repeated column, short row": b"z_re,z_im,z_re\n0.5,1.5,3\n-1,2\n",
+    "extra columns": b"id,z_im,x,z_re\n7,1.5,q,0.5\n8,2,r,-1\n",
+    "extra values": b"z_re,z_im\n0.5,1.5,9,9\n-1,2,\n",
+    "short row": b"z_re,z_im\n0.5,1.5\n0.25\n",
+    "quoted values": b'"z_re","z_im"\n"0.5"," 1.5"\n"-1","2"\n',
+    "quoted comma": b'z_re,z_im\n"0.5,1",2\n',
+    "embedded newline": b'z_re,z_im\n0.5,1.5\n"-1\n",2\n"x\ny",3\n',
+    "crlf": b"z_re,z_im\r\n0.5,1.5\r\n\r\n-1,2\r\n",
+    "bom": b"\xef\xbb\xbfz_re,z_im\n0.5,1.5\n",
+    "header only": b"z_re,z_im\n",
+    "empty": b"",
+    "missing column": b"z_re,zz\n0.5,1.5\n",
+    "nan": b"z_re,z_im\n0.5,1.5\nnan,1\n",
+    "unparsable": b"z_re,z_im\n0.5,1.5\n0.5,1.5j\n",
+    "undecodable": b"z_re,z_im\n0.5,\xff1.5\n",
+    "field too large": b"z_re,z_im\n0.5," + b"1" * (csv.field_size_limit() + 1) + b"\n",
+}
+
+
+@pytest.mark.parametrize("name", list(ODD_POINTS_FILES))
+def test_read_points_matches_dict_reader(tmp_path, name):
+    path = tmp_path / "points.csv"
+    if ODD_POINTS_FILES[name] is not None:
+        path.write_bytes(ODD_POINTS_FILES[name])
+    answers = []
+    for read in (_reference_read_points, cli._read_points):
+        try:
+            answers.append(read(str(path)))
+        except cli.UsageError as exc:
+            answers.append((type(exc), str(exc)))
+    assert answers[0] == answers[1]
+
+
+def _reference_write_rows(header, rows, as_json, head):
+    """The rows writer as it was written with csv.writer and json.dump."""
+    if as_json:
+        json.dump({**head, "rows": [dict(zip(header, row)) for row in rows]},
+                  sys.stdout)
+        sys.stdout.write("\n")
+    else:
+        writer = csv.writer(sys.stdout)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _requests_with_each_writer(capsys, monkeypatch, argv):
+    answers = []
+    for write in (_reference_write_rows, cli._write_rows):
+        monkeypatch.setattr(cli, "_write_rows", write)
+        answers.append(run_cli(capsys, *argv))
+    assert answers[0][0] == 0, answers[0][2]
+    return answers
+
+
+@pytest.mark.parametrize("out_format", ["csv", "json"])
+def test_requests_render_as_the_old_writers(tmp_path, capsys, monkeypatch,
+                                            out_format):
+    import numpy as np
+
+    # 150 points in |t| <= 0.65, as an eval_batch request sends them
+    rng = np.random.default_rng(8)
+    t = 0.65 * np.sqrt(rng.uniform(size=150)) * np.exp(2j * np.pi * rng.uniform(size=150))
+    z = 1j * (1 + t) / (1 - t)
+    path = _points_file(tmp_path, [f"{w.real!r},{w.imag!r}" for w in z.tolist()])
+    args, _ = BATCH_CASES[0]
+    batch = _requests_with_each_writer(
+        capsys, monkeypatch, ["eval", *args, "--points", path, "--format", out_format])
+    assert batch[0] == batch[1]
+    assert len(batch[1][1].splitlines()) == (1 if out_format == "json" else 151)
+    integrate = _requests_with_each_writer(
+        capsys, monkeypatch, ["integrate", *EVAL_ABC, "--path", "0.5,3;4,3;4,-3;2.5,0.8",
+                              "--y0", "1,0.5", "--dy0", "-0.25,2", "--out", out_format])
+    assert integrate[0] == integrate[1]
+
+
+def test_params_json_renders_as_json_dump(capsys):
+    from papperitz.params import EquationParams, derive_params
+
+    for abc in [("0.3,0.1", "0.2,0", "0.1,0.2"), ("1,0", "0,0", "1,0"),
+                ("-0.0,5e-324", "1e16,1e-05", "3,-7")]:
+        code, out, err = run_cli(capsys, "params", "--a", abc[0], "--b", abc[1],
+                                 "--c", abc[2], "--json")
+        p = EquationParams(*map(cli.parse_complex, abc))
+        expected = io.StringIO()
+        json.dump({"params": cli._params_dict(p),
+                   "derived": cli._derived_dict(derive_params(p))}, expected)
+        assert (code, out, err) == (0, expected.getvalue() + "\n", "")
 
 
 def test_eval_no_convergence_exit_3(capsys, monkeypatch):
@@ -398,6 +544,11 @@ def test_points_rows_match_single_points(tmp_path, capsys, args, points):
     code, out, _ = run_cli(capsys, "eval", *args, "--points", path)
     assert code == 0
     assert _csv_rows(out)[1] == singles
+    # a byte order mark, CRLF line ends and blank lines change no byte
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes("\ufeffz_re,z_im\r\n\r\n".encode()
+                       + "".join(f"{z}\r\n\r\n" for z in points).encode())
+    assert run_cli(capsys, "eval", *args, "--points", str(marked)) == (0, out, "")
     order = list(range(len(points)))[::-1]
     order = order[1::2] + order[::2]
     path = _points_file(tmp_path, [points[i] for i in order])

@@ -438,3 +438,20 @@ def test_kernel_reports_a_coefficient_overflow(monkeypatch):
         assert _bits(values[:, :2]) == _bits(released)
         assert fault[0] == 2 and isinstance(fault[1], NonFiniteParameters)
         assert "overflow" in str(fault[1])
+
+
+def test_coefficient_overflow_warns_nothing():
+    # outside the CLI's np.errstate too, an overflowing table is reported
+    # by the kernel's fault alone, not by numpy RuntimeWarnings
+    import warnings
+
+    from papperitz import hypergeom
+    from papperitz.hypergeom import series_jets
+
+    p = HypParams(2 - 600j, 1 - 300j, 2 - 300j)
+    for s in (None, complex(p.gamma - p.alpha - p.beta)):
+        hypergeom._jet_coefficients.cache_clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, fault = series_jets(p, [0.54 - 0.31j], s)
+        assert fault[0] == 0 and isinstance(fault[1], NonFiniteParameters)
