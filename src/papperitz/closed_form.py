@@ -80,42 +80,45 @@ def basis_jets(d: DerivedParams, members, z):
     as (index, exception), or None; the values of a failed array are not
     to be used.
 
-    The map's jets are computed once.  Faults are ordered by (point, stage),
-    stage 0 being the map's pole and stage k the k-th member, the order in
-    which a point-by-point evaluation meets them, and each member is
-    evaluated only at the points before the first fault met so far; with
-    no member, no point is evaluated and none fails."""
+    The map's jets are computed once.  Each member is evaluated only at the
+    points before the first fault met so far, the map's or an earlier
+    member's, so the last fault met is the first a point-by-point
+    evaluation meets; with no member, no point is evaluated and none fails."""
     z = np.asarray(z, dtype=complex)
     jets = np.zeros((len(members), 3, len(z)), dtype=complex)
+    if not members:
+        return jets, None
     t, tp, tpp, fault = forward_jets(z)
-    faults = [] if fault is None or not members else [((fault[0], 0), fault[1])]
-    for stage, which in enumerate(members, 1):
-        first = earliest(*faults)
-        count = len(z) if first is None else first[0][0]
+    for row, which in enumerate(members):
+        count = len(z) if fault is None else fault[0]
         if not count:
             break
         t, tp, tpp = t[:count], tp[:count], tpp[:count]
         try:
-            jt, fault = _member_t_jets(d, which, t)
+            jt, found = _member_t_jets(d, which, t)
         except DegenerateBasis as exc:
-            faults.append(((0, stage), exc))
-            continue
-        if fault is not None:
-            faults.append(((fault[0], stage), fault[1]))
-        jets[stage - 1, :, :count] = jt[0], jt[1] * tp, jt[2] * tp * tp + jt[1] * tpp
-    first = earliest(*faults)
-    return jets, None if first is None else (first[0][0], first[1])
+            fault = (0, exc)
+            break
+        if found is not None:
+            fault = found
+        jets[row, :, :count] = jt[0], jt[1] * tp, jt[2] * tp * tp + jt[1] * tpp
+    return jets, fault
 
 
-def _point_jets(d: DerivedParams, members, z: complex) -> list:
-    """Jet2 of each basis member at one z; raises the error met first."""
-    jets, fault = basis_jets(d, members, [complex(z)])
-    return [Jet2(*first_point(jz, fault)) for jz in jets]
+def member_jets(d: DerivedParams, members, points) -> list:
+    """Jet2 of each of a list of basis members at each point, from one
+    array evaluation, as a tuple per point; a point's jets are those it
+    gets alone.  Raises the error a point-by-point evaluation meets first."""
+    jets, fault = basis_jets(d, members, points)
+    if fault is not None:
+        raise fault[1]
+    per_point = jets.transpose(2, 0, 1).tolist()  # point, member, jet
+    return [tuple(Jet2(*jet) for jet in at_point) for at_point in per_point]
 
 
 def eval_basis(d: DerivedParams, which: BasisMember, z: complex) -> Jet2:
     """z-jet of one basis member, by the chain rule through t(z)."""
-    return _point_jets(d, [which], z)[0]
+    return member_jets(d, [which], [complex(z)])[0][0]
 
 
 def solution_jets(d: DerivedParams, c1: complex, c2: complex, z):
@@ -145,7 +148,7 @@ def eval_solution(d: DerivedParams, c1: complex, c2: complex, z: complex) -> Jet
 
 def wronskian(d: DerivedParams, z: complex) -> complex:
     """y1 y2' - y2 y1' at z."""
-    j1, j2 = _point_jets(d, list(BasisMember), z)
+    j1, j2 = member_jets(d, list(BasisMember), [complex(z)])[0]
     return j1.y * j2.dy - j2.y * j1.dy
 
 
@@ -154,7 +157,7 @@ def fit_ivp(d: DerivedParams, z0: complex, y0: complex, dy0: complex):
     if d.degeneracy is DegeneracyClass.REPEATED_EXPONENT:
         raise DegenerateWronskian("repeated exponent: the Wronskian of the "
                                   "closed-form pair vanishes identically")
-    j1, j2 = _point_jets(d, list(BasisMember), z0)
+    j1, j2 = member_jets(d, list(BasisMember), [complex(z0)])[0]
     w = j1.y * j2.dy - j2.y * j1.dy
     scale = abs(j1.y) * abs(j2.dy) + abs(j2.y) * abs(j1.dy)
     if abs(w) < 1e-10 * scale:

@@ -36,6 +36,10 @@ class PoleAtMinusI(PapperitzError):
     """z is at (or numerically on top of) the singular point z = -i."""
 
 
+class MapOverflow(PapperitzError):
+    """z is so large that the jets of the forward map overflow."""
+
+
 class ZeroBaseNonpositiveExponent(PapperitzError):
     """0**e requested with Re e <= 0."""
 

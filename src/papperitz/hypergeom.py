@@ -61,13 +61,12 @@ MAX_TERMS = 10000
 #: Modulus up to which a series argument (t, t/(t-1) or 1-t) is summed.
 REGION_CUTOFF = 0.7
 
-#: A failed point of an array, as (key, exception); the key orders failures
-#: the way a point-by-point evaluation would meet them.
-Fault = Optional[Tuple[object, Exception]]
+#: A failed point of an array, as (index, exception).
+Fault = Optional[Tuple[int, Exception]]
 
 
 def earliest(*faults: Fault) -> Fault:
-    """The fault with the lowest key; the first one given on a tie."""
+    """The fault with the lowest index; the first one given on a tie."""
     found = [f for f in faults if f is not None]
     return min(found, key=lambda f: f[0]) if found else None
 
@@ -217,7 +216,8 @@ def series_jets(p: HypParams, w, shift: Optional[complex] = None):
     (index, exception), or None.  |w| < 1 is required unless the series
     truncates; a truncating series sums exactly its k+1 terms at any w, and
     one of more than MAX_TERMS terms fails at its first point.  Points are
-    summed in blocks of BLOCK_TERMS // _PASS_COLUMNS points."""
+    summed in blocks of BLOCK_TERMS // _PASS_COLUMNS points up to the first
+    point outside the unit disk, so a point the kernel fails at comes first."""
     w = np.asarray(w, dtype=complex)
     count, fault = len(w), None
     k = p.truncation_degree()
@@ -239,25 +239,29 @@ def series_jets(p: HypParams, w, shift: Optional[complex] = None):
         block = slice(lo, min(lo + step, count))
         stuck = _block_jets(p, w[block], shift, out[:, block])
         if stuck is not None:
-            return out, earliest(fault, (lo + stuck[0], stuck[1]))
+            return out, (lo + stuck[0], stuck[1])
     return out, fault
 
 
 # -- region policy ------------------------------------------------------------
 
-def _regions(p: HypParams, t: np.ndarray):
-    """Strategy code of every t and the mask of the points on the branch
-    cut, which only a truncating series is evaluated on: the mask is all
-    False for a truncating series and when every point is summed directly."""
+def _on_cut(t):
+    """Whether t, a number or each point of an array, is within BRANCH_CUT_TOL of [1, inf)."""
+    return (abs(t.imag) <= BRANCH_CUT_TOL) & (t.real >= 1.0 - BRANCH_CUT_TOL)
+
+
+def _regions(p: HypParams, t: np.ndarray) -> np.ndarray:
+    """Strategy code of every t.  A truncating series is summed at any t;
+    otherwise a point on the branch cut is UNREACHABLE."""
     codes = np.zeros(len(t), dtype=np.intp)  # zero is DirectSeries
     if p.truncation_degree() is not None:
         codes.fill(_POLYNOMIAL)
-        return codes, np.zeros(len(t), dtype=bool)
+        return codes
     cut = REGION_CUTOFF
     mod_t = np.abs(t)
     direct = mod_t <= cut
     if all_of(direct):
-        return codes, ~direct  # all False
+        return codes  # no point is on the cut
     codes.fill(_UNREACHABLE)
     mod_1mt = np.abs(1 - t)
     if not near_integer(p.gamma - p.alpha - p.beta):
@@ -275,29 +279,29 @@ def _regions(p: HypParams, t: np.ndarray):
     elif nonpositive_integer_near(p.gamma - p.alpha) is not None:
         codes[t != 1] = _PFAFF_BETA
     codes[direct] = _DIRECT
-    on_cut = (np.abs(t.imag) <= BRANCH_CUT_TOL) & (t.real >= 1.0 - BRANCH_CUT_TOL)
-    return codes, on_cut
+    codes[_on_cut(t)] = _UNREACHABLE
+    return codes
 
 
 def select_strategy(p: HypParams, t: complex) -> EvalStrategy:
-    """Region policy choosing how F(p; t) will be computed."""
-    return _STRATEGIES[_regions(p, np.array([complex(t)]))[0][0]]
+    """Region policy choosing how F(p; t) will be computed: UNREACHABLE
+    where gauss_2f1 raises its region error."""
+    return _STRATEGIES[_regions(p, np.array([complex(t)]))[0]]
 
 
 def evaluable(p: HypParams, t) -> np.ndarray:
     """Mask of the points of a 1-D array of t that gauss_2f1_jets evaluates:
-    a strategy reaches them and, unless the series truncates, they are off
-    the branch cut."""
-    codes, on_cut = _regions(p, np.asarray(t, dtype=complex))
-    return (codes != _UNREACHABLE) & ~on_cut
+    those a strategy reaches."""
+    return _regions(p, np.asarray(t, dtype=complex)) != _UNREACHABLE
 
 
-def _region_error(t: complex, on_cut: bool) -> Exception:
-    if on_cut:
-        return OnBranchCut(f"t={t} lies on the branch cut [1, inf)")
-    return EvaluationUnreachable(t, abs(t),
-                                 abs(t / (t - 1)) if t != 1 else float("inf"),
-                                 abs(1 - t))
+def _region_error(t: complex) -> Exception:
+    if not _on_cut(t):
+        return EvaluationUnreachable(t, abs(t),
+                                     abs(t / (t - 1)) if t != 1 else float("inf"),
+                                     abs(1 - t))
+    where = "on" if t.imag == 0 and t.real >= 1 else f"within {BRANCH_CUT_TOL:g} of"
+    return OnBranchCut(f"t={t} lies {where} the branch cut [1, inf)")
 
 
 # -- strategies -----------------------------------------------------------------
@@ -358,7 +362,6 @@ def _rgamma(z: complex) -> complex:
     return 1 / _gamma(z)
 
 
-@functools.lru_cache(maxsize=64)
 def _connection_coefficients(p: HypParams) -> Tuple[complex, complex]:
     """Gamma-function coefficients of the two terms of the (1-t) formula."""
     a, b, g = complex(p.alpha), complex(p.beta), complex(p.gamma)
@@ -411,13 +414,12 @@ def gauss_2f1_jets(p: HypParams, t):
     used.  The first point on the cut or out of reach is recorded, then
     each strategy's other points go to the kernel together."""
     t = np.asarray(t, dtype=complex)
-    codes, on_cut = _regions(p, t)
-    bad = on_cut | (codes == _UNREACHABLE)
+    codes = _regions(p, t)
+    bad = codes == _UNREACHABLE
     faults = []
     if any_of(bad):
         i = int(bad.argmax())
-        faults.append((i, _region_error(complex(t[i]), bool(on_cut[i]))))
-        codes[bad] = _UNREACHABLE  # a point on the cut is not evaluated either
+        faults.append((i, _region_error(complex(t[i]))))
     jets = np.zeros((3, len(t)), dtype=complex)
     # sorted(set()) and not np.unique, which imports numpy.ma (~1.3 MB)
     for code in sorted(set(codes.tolist()) - {_UNREACHABLE}):

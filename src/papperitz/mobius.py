@@ -12,7 +12,7 @@ an array.
 
 import numpy as np
 
-from .errors import PoleAtMinusI, ZeroBaseNonpositiveExponent
+from .errors import MapOverflow, PoleAtMinusI, ZeroBaseNonpositiveExponent
 
 _POLE_TOL = 1e-14
 
@@ -34,24 +34,29 @@ def _like(result: np.ndarray, x):
 def forward_jets(z):
     """t(z) = (z - i)/(z + i), dt/dz = 2i/(z+i)^2 and d2t/dz2 = -4i/(z+i)^3
     at every point of a 1-D array, and the fault of the first point at the
-    pole z = -i, as (index, exception), or None.  The values at and after
-    that point are not to be used."""
+    pole z = -i or where one of the three overflows, as (index, exception),
+    or None.  The values at and after that point are not to be used."""
     zs = _points(z)
     zp = zs + 1j
     size = np.abs(zp)
-    pole = size <= _POLE_TOL * (1.0 + np.abs(zs))
+    # an overflowing |z + i| reads inf <= inf: it is not the pole, it overflows below
+    pole = (size <= _POLE_TOL * (1.0 + np.abs(zs))) & (size < np.inf)
     if any_of(pole):
-        # an overflowing |z + i| reads inf <= inf: such a point is far from
-        # the pole, and its values show as not finite
-        pole &= size < np.inf
-    fault = None
-    if any_of(pole):
-        i = int(pole.argmax())
-        fault = (i, PoleAtMinusI(f"z={complex(zs[i])} is at the pole z=-i "
-                                  f"of the forward map"))
         zp = np.where(pole, 1.0, zp)
-    zp2 = zp * zp
-    return (zs - 1j) / zp, 2j / zp2, -4j / (zp2 * zp), fault
+    # an overflow is reported as the point's fault, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        zp2 = zp * zp
+        jets = (zs - 1j) / zp, 2j / zp2, -4j / (zp2 * zp)
+    bad = pole | ~all_of(np.isfinite(jets), axis=0)
+    if not any_of(bad):
+        return (*jets, None)
+    i = int(bad.argmax())
+    if pole[i]:
+        exc = PoleAtMinusI(f"z={complex(zs[i])} is at the pole z=-i of the forward map")
+    else:
+        exc = MapOverflow(f"z={complex(zs[i])} is too large for the forward map: "
+                          f"its jets overflow at |z+i|={size[i]:.6g}")
+    return (*jets, (i, exc))
 
 
 def principal_power(w, e: complex):

@@ -15,7 +15,7 @@ import numpy as np
 # params.derive_params is looked up at each call, so that a test can
 # substitute a corrupted derivation and see the suites fail
 from . import closed_form, hypergeom, params
-from .closed_form import BasisMember, basis_jets, solution_jets
+from .closed_form import BasisMember, member_jets, solution_jets
 from .hypergeom import gauss_2f1, gauss_2f1_jet
 from .mobius import principal_power
 from .oracle import (
@@ -30,7 +30,6 @@ from .params import (
     DerivedParams,
     EquationParams,
     HypParams,
-    Jet2,
     nonpositive_integer_near,
 )
 
@@ -146,17 +145,6 @@ def suite_hypergeom_identities(rng, n: int) -> Check:
     return ("hypergeom-identities", fails, n)
 
 
-def member_jets(d: DerivedParams, points) -> List[Tuple[Jet2, ...]]:
-    """Jets of the basis members at each point, in BasisMember order, from
-    one array evaluation; a point's jets are those eval_basis gives it.
-    Raises the error a point-by-point evaluation meets first."""
-    jets, fault = basis_jets(d, list(BasisMember), points)
-    if fault is not None:
-        raise fault[1]
-    per_point = jets.transpose(2, 0, 1).tolist()  # point, member, jet
-    return [tuple(Jet2(*jet) for jet in members) for members in per_point]
-
-
 def suite_residuals(rng, n_draws: int, n_points: int) -> Check:
     """Closed-form basis jets satisfy the ODE pointwise."""
     fails = 0
@@ -164,7 +152,7 @@ def suite_residuals(rng, n_draws: int, n_points: int) -> Check:
     for _ in range(n_draws):
         p, d = random_generic_equation(rng)
         points = [sample_reachable_point(d, rng) for _ in range(n_points)]
-        for z, jets in zip(points, member_jets(d, points)):
+        for z, jets in zip(points, member_jets(d, list(BasisMember), points)):
             for jet in jets:
                 total += 1
                 res = abs(residual_z(p, jet, z))

@@ -732,8 +732,13 @@ BAD_INPUT_CASES = [
     # the second member is a polynomial of degree ~2e150
     (("eval", "--a", "0,0", "--b", "1e300,0", "--c", "0,0", "--c2", "1,0",
       "--z", "0.5,1"), 3),
-    # |z + i| overflows: the row is not finite, and z is not the pole z = -i
+    # |z + i| overflows: the map's jets are not finite, and z is not the
+    # pole z = -i
     (("eval", *ZERO_ABC, "--z", "1.5e308,1.5e308"), 3),
+    # t rounds into the guard band of the branch cut, and z is not on it
+    (("eval", *ZERO_ABC, "--z", "1e12,1e12"), 3),
+    # (z + i)^2 overflows
+    (("eval", *ZERO_ABC, "--z", "1e160,1e160"), 3),
     # Gamma overflows in the coefficients of the (1-t) connection formula
     (("eval", "--a", "0,300", "--b", "0,0", "--c", "0,0", "--z", "5,0.1"), 3),
     # the series coefficients overflow, and the series does not converge
@@ -762,3 +767,30 @@ def test_bad_input_leaks_no_warning(capsys, args, expected):
         warnings.simplefilter("error")
         code, _, _ = run_cli(capsys, *args)
     assert code == expected
+
+
+@pytest.mark.parametrize("z,message", [
+    ("1e12,1e12", "t=(0.999999999999-1e-12j) lies within 1e-12 of the branch cut"),
+    ("3e12,0", "lies within 1e-12 of the branch cut"),
+    ("-3e12,5", "lies within 1e-12 of the branch cut"),
+    ("0,-5e12", "t=(1.0000000000004-0j) lies on the branch cut [1, inf)"),
+    ("1e160,1e160", "is too large for the forward map: its jets overflow at "
+                    "|z+i|=1.41421e+160"),
+    ("1.5e308,1.5e308", "is too large for the forward map: its jets overflow at "
+                        "|z+i|=inf"),
+])
+def test_large_z_names_its_fault(capsys, z, message):
+    # only z = -5e12 i is on the cut; the others round into its guard band
+    # or overflow the map
+    code, out, err = run_cli(capsys, "eval", "--a", "0.3,0", "--b", "0.2,0",
+                             "--c", "0.1,0", "--z", z)
+    assert code == 3 and out == "" and len(err.splitlines()) == 1
+    assert message in err and "pole" not in err
+
+
+def test_eval_second_basis_invalid_exit_2(capsys):
+    # gamma = 1 + delta = 3, so the second member has gamma = -1
+    code, out, err = run_cli(capsys, "eval", "--a", "1,0", "--b", "1,-0.3",
+                             "--c", "0.3,0", "--c2", "1,0", "--z", "0.5,2")
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    assert err.startswith("degenerate basis at z=(0.5+2j): second basis member invalid: ")

@@ -329,7 +329,7 @@ def _first_error(calls):
 
 
 def test_array_faults_equal_point_by_point_faults(monkeypatch):
-    from papperitz import closed_form, selftest
+    from papperitz import closed_form
 
     rng = np.random.default_rng(52)
     generic = [random_generic_equation(rng)[1] for _ in range(4)]
@@ -355,7 +355,7 @@ def test_array_faults_equal_point_by_point_faults(monkeypatch):
             expected = _first_error([lambda z=z, which=which: eval_basis(d, which, z)
                                      for z in points for which in BasisMember])
             with pytest.raises(PapperitzError) if expected else nullcontext() as raised:
-                selftest.member_jets(d, points)
+                closed_form.member_jets(d, list(BasisMember), points)
             if expected:
                 assert (type(raised.value), str(raised.value)) == expected[1:]
     # one map evaluation serves every member
@@ -364,10 +364,27 @@ def test_array_faults_equal_point_by_point_faults(monkeypatch):
     monkeypatch.setattr(closed_form, "forward_jets",
                         lambda z: calls.append(z) or forward_jets(z))
     d, z = generic[0], pool[0]
-    for evaluate in (lambda: selftest.member_jets(d, pool[:3]),
+    for evaluate in (lambda: closed_form.member_jets(d, list(BasisMember), pool[:3]),
                      lambda: closed_form.solution_jets(d, 1, 0.5, np.array(pool[:3])),
                      lambda: closed_form.wronskian(d, z),
                      lambda: closed_form.fit_ivp(d, z, 1.0, 0.0)):
         calls.clear()
         evaluate()
         assert len(calls) == 1
+
+
+@pytest.mark.parametrize("a,b,c,degeneracy", [
+    (0, -0.25, 0, DegeneracyClass.REPEATED_EXPONENT),
+    (1, 1 - 0.3j, 0.3, DegeneracyClass.SECOND_BASIS_INVALID),
+])
+def test_degenerate_set_is_not_reachable(a, b, c, degeneracy):
+    # the first member evaluates at z, the second does not exist
+    from papperitz.closed_form import is_reachable
+
+    d = derive_params(EquationParams(a, b, c))
+    assert d.degeneracy is degeneracy
+    z = 0.5 + 2j
+    assert math.isfinite(abs(eval_basis(d, BasisMember.FIRST, z).y))
+    with pytest.raises(DegenerateBasis):
+        eval_basis(d, BasisMember.SECOND, z)
+    assert not is_reachable(d, z)

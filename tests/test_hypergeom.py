@@ -94,6 +94,49 @@ def test_gauss_2f1_branch_cut():
         gauss_2f1(HypParams(0.3, 1.2, 0.8), 1.0 + 1e-14j)
 
 
+def test_one_route_array_decides_strategy_reach_and_error():
+    # a seeded grid of t over the cut, its guard band and t = 1, for random
+    # triples, triples whose series or Pfaff transform truncates, and one
+    # with integer gamma - alpha - beta
+    from papperitz.hypergeom import BRANCH_CUT_TOL, evaluable, gauss_2f1_jets
+
+    rng = np.random.default_rng(14)
+    tol = BRANCH_CUT_TOL
+    re = [1.0, 1 - 2 * tol, 1 - tol, 1 - tol / 2, 1 + tol / 10, 1.2, 3.0, 0.5, -9.0, 0.9]
+    im = [0.0, -0.0, tol / 2, -tol, tol, 2 * tol, -3 * tol, 1e-14, 0.2]
+    t = np.array([complex(x, y) for x in re for y in im]
+                 + list(rng.uniform(0.9, 1.5, 40) + 1j * rng.uniform(-3 * tol, 3 * tol, 40)))
+    t = t[rng.permutation(len(t))]
+    on_cut = (np.abs(t.imag) <= tol) & (t.real >= 1 - tol)
+    triples = [random_hyp_params(rng) for _ in range(6)] + [
+        HypParams(-3, 1.2 + 0.5j, 0.8), HypParams(1.0, -3.0, -3.0),
+        HypParams(2, 1, 2), HypParams(0.5, 0.5, 1.0), HypParams(0.3, 1.2, 0.8)]
+    for p in triples:
+        reached = evaluable(p, t)
+        names = [select_strategy(p, x) for x in t]
+        assert [name is not EvalStrategy.UNREACHABLE for name in names] == reached.tolist()
+        if p.truncation_degree() is None:
+            assert not reached[on_cut].any()
+        else:
+            assert reached.all()
+        fault = gauss_2f1_jets(p, t)[1]
+        assert (fault is None) == reached.all()
+        if fault is not None:
+            assert fault[0] == int(reached.argmin())
+        for x, ok in zip(t.tolist(), reached.tolist()):
+            try:
+                gauss_2f1(p, x)
+                raised = None
+            except (EvaluationUnreachable, OnBranchCut) as exc:
+                raised = exc
+            assert (raised is None) == ok
+            if raised is not None and abs(x.imag) <= tol and x.real >= 1 - tol:
+                assert isinstance(raised, OnBranchCut)
+                exact = x.imag == 0 and x.real >= 1
+                assert ("lies on the branch cut" in str(raised)) == exact
+                assert (f"within {tol:g} of the branch cut" in str(raised)) != exact
+
+
 def test_derivative_values():
     p = HypParams(1.5 - 0.5j, 0.7, 2.2 + 1j)
     at0 = gauss_2f1_jet(p, 0.0)[1]

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from papperitz.errors import PoleAtMinusI, ZeroBaseNonpositiveExponent
+from papperitz.errors import MapOverflow, PoleAtMinusI, ZeroBaseNonpositiveExponent
 from papperitz.mobius import forward_jets, principal_power
 
 
@@ -26,10 +26,36 @@ def test_overflowing_point_is_not_the_pole():
     for z in (-1j, 1e-320 - 1j):
         fault = forward_jets(z)[3]
         assert fault[0] == 0 and isinstance(fault[1], PoleAtMinusI)
-    with np.errstate(all="ignore"):
-        assert forward_jets(complex(1.5e308, 1.5e308))[3] is None
-        fault = forward_jets(np.array([complex(1.5e308, 1.5e308), -1j]))[3]
+    # its jets overflow instead, which is a fault of its own
+    big = complex(1.5e308, 1.5e308)
+    fault = forward_jets(big)[3]
+    assert fault[0] == 0 and isinstance(fault[1], MapOverflow)
+    assert "pole" not in str(fault[1])
+    fault = forward_jets(np.array([2j, big, -1j]))[3]
+    assert fault[0] == 1 and isinstance(fault[1], MapOverflow)
+    fault = forward_jets(np.array([2j, -1j, big]))[3]
     assert fault[0] == 1 and isinstance(fault[1], PoleAtMinusI)
+
+
+def test_map_overflow_is_the_first_point_whose_jets_are_not_finite():
+    # a ladder of |z| at five angles, in a seeded order; no warning escapes
+    rng = np.random.default_rng(8)
+    z = np.array([r * cmath.exp(1j * phi)
+                  for r in (1e2, 1e12, 1e100, 1e103, 1e154, 1e155, 1e200, 1e308)
+                  for phi in (0.0, 0.3, math.pi / 4, math.pi / 2, 2.5)])
+    z = z[rng.permutation(len(z))]
+    with np.errstate(all="ignore"):
+        zp = z + 1j
+        jets = (z - 1j) / zp, 2j / (zp * zp), -4j / (zp * zp * zp)
+    finite = np.isfinite(jets).all(axis=0)
+    assert not finite.all() and finite.any()
+    for n in range(1, len(z) + 1):
+        fault = forward_jets(z[:n])[3]
+        if finite[:n].all():
+            assert fault is None
+        else:
+            assert fault[0] == int(finite.argmin())
+            assert isinstance(fault[1], MapOverflow)
 
 
 def test_round_trip():
