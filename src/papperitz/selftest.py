@@ -1,7 +1,8 @@
 """Seeded self-check suites shared by the CLI and the test suite, and the
-comparison of the closed form with the integrator that they and `verify`
-run.  The comparison lives here, not in oracle, so that the integrator
-stays free of the closed form.
+two checks that they and `verify` run: the closed form against the
+integrator (`oracle_agreement`) and the ODE residual at sampled points
+(`residual_ratios`).  The comparison lives here, not in oracle, so that
+the integrator stays free of the closed form.
 
 Every suite draws its own values from a caller-provided generator, so a
 fixed seed reproduces the exact same report byte for byte.
@@ -18,13 +19,7 @@ from . import closed_form, hypergeom, params
 from .closed_form import BasisMember, member_jets, solution_jets
 from .hypergeom import gauss_2f1, gauss_2f1_jet
 from .mobius import principal_power
-from .oracle import (
-    IntegrationControl,
-    PathSpec,
-    integrate_ivp,
-    residual_scale,
-    residual_z,
-)
+from .oracle import PathSpec, integrate_ivp, residual_scale, residual_z
 from .params import (
     DegeneracyClass,
     DerivedParams,
@@ -145,19 +140,23 @@ def suite_hypergeom_identities(rng, n: int) -> Check:
     return ("hypergeom-identities", fails, n)
 
 
+def residual_ratios(p: EquationParams, d: DerivedParams, rng, n: int) -> list:
+    """|residual_z| / residual_scale of each basis member at each of n
+    sampled reachable points, in that order; a NaN ratio is a failure."""
+    points = [sample_reachable_point(d, rng) for _ in range(n)]
+    return [abs(residual_z(p, jet, z)) / residual_scale(z, jet)
+            for z, jets in zip(points, member_jets(d, list(BasisMember), points))
+            for jet in jets]
+
+
 def suite_residuals(rng, n_draws: int, n_points: int) -> Check:
     """Closed-form basis jets satisfy the ODE pointwise."""
     fails = 0
     total = 0
     for _ in range(n_draws):
-        p, d = random_generic_equation(rng)
-        points = [sample_reachable_point(d, rng) for _ in range(n_points)]
-        for z, jets in zip(points, member_jets(d, list(BasisMember), points)):
-            for jet in jets:
-                total += 1
-                res = abs(residual_z(p, jet, z))
-                if res > 1e-8 * residual_scale(z, jet):
-                    fails += 1
+        ratios = residual_ratios(*random_generic_equation(rng), rng, n_points)
+        total += len(ratios)
+        fails += sum(not ratio <= 1e-8 for ratio in ratios)
     return ("closed-form-residuals", fails, total)
 
 
@@ -171,8 +170,7 @@ class VerifyReport:
 
 
 def compare_closed_numeric(p: EquationParams, d: DerivedParams,
-                           c1: complex, c2: complex, path: PathSpec,
-                           ctrl: IntegrationControl = IntegrationControl()
+                           c1: complex, c2: complex, path: PathSpec
                            ) -> VerifyReport:
     """Seed the integrator with the closed-form jet at the path start and
     compare values at every waypoint.
@@ -184,8 +182,7 @@ def compare_closed_numeric(p: EquationParams, d: DerivedParams,
     closed, fault = solution_jets(d, c1, c2, path.waypoints)
     if fault is not None and fault[0] == 0:
         raise fault[1]
-    numeric = integrate_ivp(p, path, complex(closed.y[0]), complex(closed.dy[0]),
-                            ctrl)
+    numeric = integrate_ivp(p, path, complex(closed.y[0]), complex(closed.dy[0]))
     if fault is not None:
         raise fault[1]
     report = VerifyReport()
@@ -198,36 +195,33 @@ def compare_closed_numeric(p: EquationParams, d: DerivedParams,
     return report
 
 
+def oracle_agreement(p: EquationParams, d: DerivedParams) -> VerifyReport:
+    """The closed-form solution 1.0 * first + 0.3 * second member against
+    the integrator along DEFAULT_PATH."""
+    return compare_closed_numeric(p, d, 1.0, 0.3, PathSpec(DEFAULT_PATH))
+
+
 def suite_oracle_agreement(rng, n_draws: int) -> Check:
     """Closed form vs independent integration along the standard path."""
-    ictrl = IntegrationControl()
-    path = PathSpec(DEFAULT_PATH)
-    fails = 0
-    for _ in range(n_draws):
-        p, d = random_generic_equation(rng)
-        report = compare_closed_numeric(p, d, 1.0, 0.3, path, ictrl)
-        if report.max_rel_err > 1e-6:
-            fails += 1
+    fails = sum(oracle_agreement(*random_generic_equation(rng)).max_rel_err > 1e-6
+                for _ in range(n_draws))
     return ("oracle-agreement", fails, n_draws)
+
+
+#: Each suite with its sizes for --quick and for the full run.
+SUITES = [
+    (suite_parameter_identities, (200,), (1000,)),
+    (suite_hypergeom_identities, (30,), (200,)),
+    (suite_residuals, (10, 5), (100, 10)),
+    (suite_oracle_agreement, (2,), (10,)),
+]
 
 
 def run_selftest(seed: int = 0, quick: bool = False) -> bool:
     """Run all suites; prints one line per suite and returns overall pass."""
     rng = np.random.default_rng(seed)
-    if quick:
-        checks = [
-            suite_parameter_identities(rng, 200),
-            suite_hypergeom_identities(rng, 30),
-            suite_residuals(rng, 10, 5),
-            suite_oracle_agreement(rng, 2),
-        ]
-    else:
-        checks = [
-            suite_parameter_identities(rng, 1000),
-            suite_hypergeom_identities(rng, 200),
-            suite_residuals(rng, 100, 10),
-            suite_oracle_agreement(rng, 10),
-        ]
+    checks = [suite(rng, *(quick_sizes if quick else sizes))
+              for suite, quick_sizes, sizes in SUITES]
     all_ok = True
     for name, fails, total in checks:
         status = "pass" if fails == 0 else "FAIL"

@@ -244,6 +244,63 @@ def test_selftest_detects_mutation(capsys, monkeypatch):
     assert "FAIL" in out
 
 
+def test_hypergeom_suite_counts_a_broken_pfaff_identity(monkeypatch):
+    # the suite reaches raw_series only in its Pfaff check, so a relative
+    # error of 1e-6 there breaks that identity in every draw
+    import numpy as np
+
+    from papperitz import hypergeom, selftest
+
+    real = hypergeom.raw_series
+    monkeypatch.setattr(hypergeom, "raw_series",
+                        lambda p, w: real(p, w) * (1 + 1e-6))
+    name, fails, total = selftest.suite_hypergeom_identities(
+        np.random.default_rng(3), 8)
+    assert (name, fails, total) == ("hypergeom-identities", 8, 8)
+
+
+def test_residual_suite_counts_a_nan_ratio(monkeypatch):
+    import numpy as np
+
+    from papperitz import selftest
+
+    monkeypatch.setattr(selftest, "residual_z",
+                        lambda p, jet, z: complex("nan+nanj"))
+    assert selftest.suite_residuals(np.random.default_rng(3), 2, 3) == (
+        "closed-form-residuals", 12, 12)
+
+
+@pytest.mark.parametrize("seed", [2, 7])
+def test_verify_runs_the_selftest_checks(capsys, seed):
+    import numpy as np
+
+    from papperitz import selftest
+    from papperitz.params import EquationParams, derive_params
+
+    code, out, _ = run_cli(capsys, "verify", "--a", "0.3,0.1", "--b", "0.2,0",
+                           "--c", "0.1,0.2", "--seed", str(seed),
+                           "--samples", "12")
+    p = EquationParams(0.3 + 0.1j, 0.2, 0.1 + 0.2j)
+    d = derive_params(p)
+    report = selftest.oracle_agreement(p, d)
+    ratios = selftest.residual_ratios(p, d, np.random.default_rng(seed), 12)
+    assert code == 0 and len(ratios) == 24
+    assert out.splitlines()[:3] == [
+        f"max_abs_err = {report.max_abs_err!r}",
+        f"max_rel_err = {report.max_rel_err!r}",
+        f"max_residual_ratio = {max(ratios)!r}"]
+
+
+def test_verify_nan_residual_ratio_fails(capsys):
+    # a fifth of the sampled points give the first member NaN jets, and
+    # no fault: the NaN ratio is the reported maximum, not dropped
+    code, out, err = run_cli(capsys, "verify", "--a", "-80,5", "--b", "0,0",
+                             "--c", "0,0", "--samples", "20")
+    assert code == 4 and err == ""
+    assert "max_residual_ratio = nan\n" in out
+    assert out.endswith("verify: FAIL\n")
+
+
 EVAL_ABC = ("--a", "0.3,0.1", "--b", "0.2,0", "--c", "0.1,0.2")
 
 
@@ -251,6 +308,15 @@ def _points_file(tmp_path, rows, header="z_re,z_im"):
     path = tmp_path / "points.csv"
     path.write_text(header + "\n" + "".join(f"{r}\n" for r in rows))
     return str(path)
+
+
+@pytest.mark.parametrize("points", [None, []], ids=["no-option", "header-only"])
+def test_eval_without_points_exit_1(tmp_path, capsys, points):
+    args = () if points is None else ("--points", _points_file(tmp_path, points))
+    code, out, err = run_cli(capsys, "eval", *EVAL_ABC, *args)
+    assert code == 1 and out == ""
+    assert err == ("papperitz: error: no evaluation points given "
+                   "(use --z or --points)\n")
 
 
 def test_eval_points_missing_file(tmp_path, capsys):
