@@ -7,8 +7,7 @@ genuine two-sided check.
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from .errors import (
     NonFinitePath,
@@ -41,18 +40,17 @@ def _segment_distance(z0: complex, z1: complex, w: complex) -> float:
     return _modulus(z0 + s * u - w)
 
 
-@dataclass(frozen=True)
-class PathSpec:
+class PathSpec(NamedTuple("PathSpec", [("waypoints", Tuple[complex, ...])])):
     """Polyline in the z-plane kept clear of the singular points +-i, with
     segments of finite length."""
 
-    waypoints: Tuple[complex, ...]
+    __slots__ = ()
 
-    def __init__(self, waypoints: Sequence[complex]):
-        object.__setattr__(self, "waypoints", tuple(complex(w) for w in waypoints))
-        if len(self.waypoints) < 2:
+    def __new__(cls, waypoints: Sequence[complex]):
+        waypoints = tuple(complex(w) for w in waypoints)
+        if len(waypoints) < 2:
             raise ValueError("a path needs at least two waypoints")
-        for z0, z1 in zip(self.waypoints, self.waypoints[1:]):
+        for z0, z1 in zip(waypoints, waypoints[1:]):
             if not math.isfinite(_modulus(z1 - z0)):
                 raise NonFinitePath(f"segment {z0} -> {z1} is longer than the "
                                     f"largest float")
@@ -63,19 +61,19 @@ class PathSpec:
                         f"segment {z0} -> {z1} passes within {dist:.4g} "
                         f"of the singular point {s}"
                     )
+        return super().__new__(cls, waypoints)
 
 
-@dataclass(frozen=True)
-class IntegrationControl:
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-    max_steps: int = 10 ** 6
+class IntegrationControl(NamedTuple("IntegrationControl", [
+        ("rel_tol", float), ("abs_tol", float), ("max_steps", int)])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
+    def __new__(cls, rel_tol=1e-10, abs_tol=1e-12, max_steps=10 ** 6):
+        if not (rel_tol > 0 and abs_tol > 0):
             raise ValueError("tolerances must be positive")
-        if self.max_steps < 1:
+        if max_steps < 1:
             raise ValueError("max_steps must be at least 1")
+        return super().__new__(cls, rel_tol, abs_tol, max_steps)
 
 
 def residual_z(p: EquationParams, jet: Jet2, z: complex) -> complex:

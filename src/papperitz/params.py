@@ -8,9 +8,8 @@ numpy is imported, so the commands that need only these start without it.
 
 import cmath
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import InvalidGamma, NonFiniteParameters
 
@@ -22,19 +21,24 @@ DEGENERACY_TOL = 1e-10
 INTEGER_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class EquationParams:
+# The value classes here and in oracle are NamedTuples: immutable, hashed as
+# the tuple of their fields and equal to it.  One that checks its fields
+# subclasses one and checks in __new__, which _make and _replace skip: nothing
+# calls those.
+
+
+class EquationParams(NamedTuple("EquationParams",
+                                 [("a", complex), ("b", complex), ("c", complex)])):
     """Coefficient triple (a, b, c) of the equation."""
 
-    a: complex
-    b: complex
-    c: complex
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("a", "b", "c"):
-            v = complex(getattr(self, name))
+    def __new__(cls, a, b, c):
+        for name, v in zip("abc", (a, b, c)):
+            v = complex(v)
             if not (math.isfinite(v.real) and math.isfinite(v.imag)):
                 raise ValueError(f"coefficient {name}={v} is not finite")
+        return super().__new__(cls, a, b, c)
 
 
 class DegeneracyClass(Enum):
@@ -43,8 +47,7 @@ class DegeneracyClass(Enum):
     SECOND_BASIS_INVALID = "SecondBasisInvalid"
 
 
-@dataclass(frozen=True)
-class Jet2:
+class Jet2(NamedTuple):
     """Value with first and second z-derivatives; the fields are numbers,
     or arrays over points for the array functions."""
 
@@ -53,8 +56,7 @@ class Jet2:
     d2y: complex
 
 
-@dataclass(frozen=True)
-class DerivedParams:
+class DerivedParams(NamedTuple):
     delta: complex
     delta_star: complex
     lam: complex
@@ -85,8 +87,8 @@ def _truncation_degree(alpha: complex, beta: complex) -> Optional[int]:
     return min(ks) if ks else None
 
 
-@dataclass(frozen=True)
-class HypParams:
+class HypParams(NamedTuple("HypParams", [("alpha", complex), ("beta", complex),
+                                          ("gamma", complex)])):
     """Parameter triple (alpha, beta, gamma) of the hypergeometric series.
 
     A nonpositive-integer gamma = -m is rejected unless alpha or beta is a
@@ -94,21 +96,19 @@ class HypParams:
     before the vanishing denominator factor is reached.
     """
 
-    alpha: complex
-    beta: complex
-    gamma: complex
-
-    def __post_init__(self):
-        k = _truncation_degree(self.alpha, self.beta)
-        # computed once: every evaluation asks for it
-        object.__setattr__(self, "_degree", k)
-        m = nonpositive_integer_near(self.gamma)
+    def __new__(cls, alpha, beta, gamma):
+        k = _truncation_degree(alpha, beta)
+        m = nonpositive_integer_near(gamma)
         if m is not None and (k is None or k > m):
             raise InvalidGamma(
-                f"gamma={self.gamma} is a nonpositive integer and neither "
-                f"alpha={self.alpha} nor beta={self.beta} truncates the "
+                f"gamma={gamma} is a nonpositive integer and neither "
+                f"alpha={alpha} nor beta={beta} truncates the "
                 f"series early enough"
             )
+        self = super().__new__(cls, alpha, beta, gamma)
+        # computed once, outside the fields: every evaluation asks for it
+        self._degree = k
+        return self
 
     def truncation_degree(self) -> Optional[int]:
         return self._degree

@@ -8,8 +8,7 @@ Every suite draws its own values from a caller-provided generator, so a
 fixed seed reproduces the exact same report byte for byte.
 """
 
-from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -160,13 +159,12 @@ def suite_residuals(rng, n_draws: int, n_points: int) -> Check:
     return ("closed-form-residuals", fails, total)
 
 
-@dataclass
-class VerifyReport:
+class VerifyReport(NamedTuple):
     """Per-waypoint closed-form vs numeric comparison."""
 
-    samples: List[Tuple[complex, complex, complex, float]] = field(default_factory=list)
-    max_abs_err: float = 0.0
-    max_rel_err: float = 0.0
+    samples: List[Tuple[complex, complex, complex, float]]
+    max_abs_err: float
+    max_rel_err: float
 
 
 def compare_closed_numeric(p: EquationParams, d: DerivedParams,
@@ -185,14 +183,13 @@ def compare_closed_numeric(p: EquationParams, d: DerivedParams,
     numeric = integrate_ivp(p, path, complex(closed.y[0]), complex(closed.dy[0]))
     if fault is not None:
         raise fault[1]
-    report = VerifyReport()
+    samples, max_abs_err, max_rel_err = [], 0.0, 0.0
     for (z, y_num, _), y_closed in zip(numeric, closed.y.tolist()):
         abs_err = abs(y_closed - y_num)
-        rel_err = abs_err / max(abs(y_closed), 1e-300)
-        report.samples.append((z, y_closed, y_num, abs_err))
-        report.max_abs_err = max(report.max_abs_err, abs_err)
-        report.max_rel_err = max(report.max_rel_err, rel_err)
-    return report
+        samples.append((z, y_closed, y_num, abs_err))
+        max_abs_err = max(max_abs_err, abs_err)
+        max_rel_err = max(max_rel_err, abs_err / max(abs(y_closed), 1e-300))
+    return VerifyReport(samples, max_abs_err, max_rel_err)
 
 
 def oracle_agreement(p: EquationParams, d: DerivedParams) -> VerifyReport:

@@ -694,6 +694,30 @@ def test_startup_leaves_numpy_unimported():
         "'papperitz.closed_form']"]
 
 
+def test_startup_leaves_dataclasses_unimported():
+    # the value classes are NamedTuples: importing the CLI loads neither
+    # dataclasses nor the inspect module it pulls in, and no request does
+    # (numpy, which verify loads, imports inspect but not dataclasses)
+    requests = [
+        ["params", *EVAL_ABC],
+        ["integrate", *EVAL_ABC, "--path", "2,0;3,1", "--y0", "1,0",
+         "--dy0", "0,0"],
+        ["verify", "--a", "1,0", "--b", "0,0", "--c", "1,0", "--samples", "3"],
+    ]
+    script = ("import contextlib, io, sys\nbefore = set(sys.modules)\n"
+              "from papperitz import cli\n"
+              "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n"
+              f"for argv in {requests!r}:\n"
+              "    with contextlib.redirect_stdout(io.StringIO()):\n"
+              "        code = cli.main(argv)\n"
+              "    print(code, 'dataclasses' in set(sys.modules) - before)\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["[]"] + ["0 False"] * 3
+
+
 def test_points_first_failure_decides(tmp_path, capsys):
     # 3rd point is the pole z = -i, 5th is unreachable (z = -sqrt(3))
     rows = ["0.5,1.5", "-1,2", "0,-1", "0.2,0.9", "-1.7320508075688772,0"]

@@ -338,15 +338,15 @@ def _pointwise_compare(p, d, c1, c2, path, ctrl=IntegrationControl()):
     """compare_closed_numeric with one eval_solution call per waypoint."""
     start_jet = eval_solution(d, c1, c2, path.waypoints[0])
     numeric = integrate_ivp(p, path, start_jet.y, start_jet.dy, ctrl)
-    report = VerifyReport()
+    samples, max_abs_err, max_rel_err = [], 0.0, 0.0
     for z, y_num, _ in numeric:
         y_closed = eval_solution(d, c1, c2, z).y
         abs_err = abs(y_closed - y_num)
         rel_err = abs_err / max(abs(y_closed), 1e-300)
-        report.samples.append((z, y_closed, y_num, abs_err))
-        report.max_abs_err = max(report.max_abs_err, abs_err)
-        report.max_rel_err = max(report.max_rel_err, rel_err)
-    return report
+        samples.append((z, y_closed, y_num, abs_err))
+        max_abs_err = max(max_abs_err, abs_err)
+        max_rel_err = max(max_rel_err, rel_err)
+    return VerifyReport(samples, max_abs_err, max_rel_err)
 
 
 def test_compare_closed_numeric_matches_pointwise_report():
