@@ -2,12 +2,12 @@
 
 Exit codes: 0 success, 1 usage/parse error (including a negative --seed
 or --samples, or a --tol that is negative or not finite), 2 degenerate
-parameters,
-3 unreachable/excluded evaluation point or path, a path segment longer
-than the largest float, a series or an integration that exhausts its term
-or step budget (a polynomial of degree 10^4 or more included), or a
-value that overflows to an infinity or NaN (derived parameters
-included), 4 verification failure.
+parameters, 3 unreachable/excluded evaluation point or path, a path
+segment longer than the largest float, a series or an integration that
+exhausts its term or step budget (a polynomial of degree 10^4 or more
+included), or a value that overflows to an infinity or NaN (derived
+parameters included), 4 verification failure.  A library error ends the
+command with the exit code its class in papperitz.errors declares.
 """
 
 import argparse
@@ -17,20 +17,8 @@ import math
 import sys
 from typing import List, Optional
 
-from .errors import (
-    DegenerateBasis,
-    EvaluationUnreachable,
-    MapOverflow,
-    NoConvergence,
-    NonFinitePath,
-    NonFiniteParameters,
-    NonFiniteSolution,
-    OnBranchCut,
-    PathTooCloseToSingularity,
-    PoleAtMinusI,
-    StepLimitExceeded,
-    ZeroBaseNonpositiveExponent,
-)
+from .errors import (DegenerateBasis, NonFinitePath, PapperitzError,
+                     PathTooCloseToSingularity, PointError)
 from .oracle import PathSpec, integrate_ivp, residual_z
 from .params import DegeneracyClass, EquationParams, derive_params
 
@@ -41,10 +29,6 @@ EXIT_UNREACHABLE = 3
 EXIT_VERIFY_FAILED = 4
 
 CSV_HEADER = ["z_re", "z_im", "y_re", "y_im", "dy_re", "dy_im", "residual_abs"]
-
-#: Errors that make one evaluation point unusable: exit 3.
-POINT_ERRORS = (EvaluationUnreachable, MapOverflow, OnBranchCut, PoleAtMinusI,
-                ZeroBaseNonpositiveExponent)
 
 
 class UsageError(Exception):
@@ -259,11 +243,11 @@ def cmd_eval(args) -> int:
         i, exc = fault
         if isinstance(exc, DegenerateBasis):
             print(f"degenerate basis at z={points[i]}: {exc}", file=sys.stderr)
-            return EXIT_DEGENERATE
-        if isinstance(exc, POINT_ERRORS):
+        elif isinstance(exc, PointError):
             print(f"point z={points[i]} not evaluable: {exc}", file=sys.stderr)
-            return EXIT_UNREACHABLE
-        raise exc
+        else:
+            raise exc
+        return exc.exit_code
     # tolist() gives Python floats, whose repr the rows rely on
     _write_rows(CSV_HEADER, zip(*(c.tolist() for c in columns)),
                 args.format == "json",
@@ -314,7 +298,7 @@ def cmd_integrate(args) -> int:
         path = PathSpec(waypoints)
     except (PathTooCloseToSingularity, NonFinitePath) as exc:
         print(f"invalid path: {exc}", file=sys.stderr)
-        return EXIT_UNREACHABLE
+        return exc.exit_code
     samples = integrate_ivp(p, path, parse_complex(args.y0),
                             parse_complex(args.dy0))
     _write_rows(CSV_HEADER[:-1],
@@ -374,8 +358,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except UsageError as exc:
         print(f"papperitz: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (NoConvergence, NonFiniteParameters, NonFiniteSolution,
-            StepLimitExceeded) as exc:
+    except PapperitzError as exc:
         print(f"papperitz: error: {exc}", file=sys.stderr)
-        return EXIT_UNREACHABLE
+        return exc.exit_code
 

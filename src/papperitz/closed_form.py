@@ -15,9 +15,11 @@ from .errors import (
     InvalidGamma,
     ZeroBaseNonpositiveExponent,
 )
-from .hypergeom import earliest, evaluable, first_point, gauss_2f1_jets
+from .hypergeom import (EvalStrategy, earliest, first_point, gauss_2f1_jets,
+                        select_strategy)
 from .mobius import any_of, forward_jets, principal_power
-from .params import DegeneracyClass, DerivedParams, HypParams, Jet2
+from .params import (DegeneracyClass, DerivedParams, HypParams, Jet2,
+                     second_member_params)
 
 
 class BasisMember(Enum):
@@ -35,8 +37,7 @@ def basis_hyp_params(d: DerivedParams, which: BasisMember) -> HypParams:
         raise DegenerateBasis("repeated exponent: the second member "
                               "coincides with the first")
     try:
-        return HypParams(d.alpha - d.gamma + 1, d.beta - d.gamma + 1,
-                         2 - d.gamma)
+        return second_member_params(d.alpha, d.beta, d.gamma)
     except InvalidGamma as exc:
         raise DegenerateBasis(f"second basis member invalid: {exc}") from exc
 
@@ -179,6 +180,6 @@ def is_reachable(d: DerivedParams, z: complex) -> bool:
             hp = basis_hyp_params(d, which)
         except DegenerateBasis:
             return False
-        if not evaluable(hp, t)[0]:
+        if select_strategy(hp, t[0]) is EvalStrategy.UNREACHABLE:
             return False
     return True

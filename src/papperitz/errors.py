@@ -1,24 +1,32 @@
-"""Exception types for the solver library."""
+"""Exception types for the solver library; each declares its CLI exit code."""
 
 
 class PapperitzError(Exception):
     """Base class for all library errors."""
+
+    exit_code = 3
+
+
+class PointError(PapperitzError):
+    """One evaluation point cannot be evaluated."""
 
 
 class InvalidGamma(PapperitzError):
     """Lower hypergeometric parameter is a nonpositive integer with no
     polynomial escape."""
 
+    exit_code = 2
+
 
 class NoConvergence(PapperitzError):
     """Series failed to terminate within the term budget."""
 
 
-class OnBranchCut(PapperitzError):
+class OnBranchCut(PointError):
     """Argument lies on the principal branch cut t in [1, inf)."""
 
 
-class EvaluationUnreachable(PapperitzError):
+class EvaluationUnreachable(PointError):
     """No argument-reduction strategy covers this point."""
 
     def __init__(self, t, mod_t, mod_pfaff, mod_1mt):
@@ -32,24 +40,28 @@ class EvaluationUnreachable(PapperitzError):
         )
 
 
-class PoleAtMinusI(PapperitzError):
+class PoleAtMinusI(PointError):
     """z is at (or numerically on top of) the singular point z = -i."""
 
 
-class MapOverflow(PapperitzError):
+class MapOverflow(PointError):
     """z is so large that the jets of the forward map overflow."""
 
 
-class ZeroBaseNonpositiveExponent(PapperitzError):
+class ZeroBaseNonpositiveExponent(PointError):
     """0**e requested with Re e <= 0."""
 
 
 class DegenerateBasis(PapperitzError):
     """Requested basis member does not exist for these parameters."""
 
+    exit_code = 2
+
 
 class DegenerateWronskian(PapperitzError):
     """Basis members are (numerically) dependent; IVP fit impossible."""
+
+    exit_code = 2
 
 
 class StepLimitExceeded(PapperitzError):

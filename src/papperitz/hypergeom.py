@@ -39,7 +39,7 @@ BRANCH_CUT_TOL = 1e-12
 
 #: Points times series columns in one block of the kernel.  A pass holds
 #: its BLOCK_TERMS // _PASS_COLUMNS points at _PASS_COLUMNS + 1 columns, the
-#: carried one included, so its three-row work arrays take 99 KiB, under
+#: carried one included, so its three-row work arrays take 97 KiB, under
 #: glibc's 128 KiB mmap threshold: each block reuses heap memory instead of
 #: zero-filling fresh pages.  An eval_batch request made ~2,150 minor page
 #: faults at 1 << 13, and makes fewer than one at 1 << 11.
@@ -287,12 +287,6 @@ def select_strategy(p: HypParams, t: complex) -> EvalStrategy:
     """Region policy choosing how F(p; t) will be computed: UNREACHABLE
     where gauss_2f1 raises its region error."""
     return _STRATEGIES[_regions(p, np.array([complex(t)]))[0]]
-
-
-def evaluable(p: HypParams, t) -> np.ndarray:
-    """Mask of the points of a 1-D array of t that gauss_2f1_jets evaluates:
-    those a strategy reaches."""
-    return _regions(p, np.asarray(t, dtype=complex)) != _UNREACHABLE
 
 
 def _region_error(t: complex) -> Exception:

@@ -122,12 +122,10 @@ def _principal_sqrt(w: complex) -> complex:
     return cmath.sqrt(w)
 
 
-def _basis_ok(alpha, beta, gamma) -> bool:
-    try:
-        HypParams(alpha, beta, gamma)
-        return True
-    except InvalidGamma:
-        return False
+def second_member_params(alpha, beta, gamma) -> HypParams:
+    """Parameter triple of the second basis member's series, from the first
+    member's (alpha, beta, gamma); raises InvalidGamma when it has none."""
+    return HypParams(alpha - gamma + 1, beta - gamma + 1, 2 - gamma)
 
 
 def derive_params(p: EquationParams) -> DerivedParams:
@@ -153,12 +151,14 @@ def derive_params(p: EquationParams) -> DerivedParams:
     beta = 1 - a + (delta - delta_star) / 2
     gamma = 1 + delta
 
+    degeneracy = DegeneracyClass.GENERIC
     if abs(delta) <= DEGENERACY_TOL:
         degeneracy = DegeneracyClass.REPEATED_EXPONENT
-    elif not _basis_ok(alpha - gamma + 1, beta - gamma + 1, 2 - gamma):
-        degeneracy = DegeneracyClass.SECOND_BASIS_INVALID
     else:
-        degeneracy = DegeneracyClass.GENERIC
+        try:
+            second_member_params(alpha, beta, gamma)
+        except InvalidGamma:
+            degeneracy = DegeneracyClass.SECOND_BASIS_INVALID
 
     return DerivedParams(delta, delta_star, lam, lam2,
                          alpha, beta, gamma, degeneracy)

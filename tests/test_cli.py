@@ -884,3 +884,39 @@ def test_eval_second_basis_invalid_exit_2(capsys):
                              "--c", "0.3,0", "--c2", "1,0", "--z", "0.5,2")
     assert code == 2 and out == "" and len(err.splitlines()) == 1
     assert err.startswith("degenerate basis at z=(0.5+2j): second basis member invalid: ")
+
+
+def _concrete_errors():
+    """The error classes of papperitz.errors that no other class there
+    subclasses, by name."""
+    from papperitz import errors
+
+    classes = [c for c in vars(errors).values()
+               if isinstance(c, type) and issubclass(c, errors.PapperitzError)]
+    return sorted((c for c in classes
+                   if not any(o is not c and issubclass(o, c) for o in classes)),
+                  key=lambda c: c.__name__)
+
+
+@pytest.mark.parametrize("error", _concrete_errors(), ids=lambda c: c.__name__)
+def test_error_class_decides_exit_code(capsys, monkeypatch, error):
+    # raised from any subcommand, a library error ends the command with the
+    # code its class declares, on one stderr line and without a traceback
+    from papperitz.errors import EvaluationUnreachable
+
+    degenerate = {"DegenerateBasis", "DegenerateWronskian", "InvalidGamma"}
+    assert error.exit_code == (2 if error.__name__ in degenerate else 3)
+    if error is EvaluationUnreachable:
+        exc = error(2j, 2.0, 2.0, 2.2)
+    else:
+        exc = error("the fault")
+
+    def handler(args):
+        raise exc
+
+    for command in ("params", "verify"):
+        help_line, add_arguments, _ = cli._COMMANDS[command]
+        monkeypatch.setitem(cli._COMMANDS, command, (help_line, add_arguments, handler))
+        code, out, err = run_cli(capsys, command, *ZERO_ABC)
+        assert (code, out) == (error.exit_code, "")
+        assert err.splitlines() == [f"papperitz: error: {exc}"]

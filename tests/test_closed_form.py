@@ -375,16 +375,33 @@ def test_array_faults_equal_point_by_point_faults(monkeypatch):
 
 @pytest.mark.parametrize("a,b,c,degeneracy", [
     (0, -0.25, 0, DegeneracyClass.REPEATED_EXPONENT),
+    # delta = 2 or 3, so the second member's gamma is -1 or -2, and neither
+    # member has an alpha or beta that truncates its series
     (1, 1 - 0.3j, 0.3, DegeneracyClass.SECOND_BASIS_INVALID),
+    (0.5, 0.9375, 0, DegeneracyClass.SECOND_BASIS_INVALID),
+    (0.5, 2.1875, 0, DegeneracyClass.SECOND_BASIS_INVALID),
+    (1, 2.25 - 0.3j, 0.3, DegeneracyClass.SECOND_BASIS_INVALID),
 ])
 def test_degenerate_set_is_not_reachable(a, b, c, degeneracy):
     # the first member evaluates at z, the second does not exist
-    from papperitz.closed_form import is_reachable
+    from papperitz.closed_form import basis_hyp_params, is_reachable
+    from papperitz.errors import InvalidGamma
 
     d = derive_params(EquationParams(a, b, c))
     assert d.degeneracy is degeneracy
+    assert basis_hyp_params(d, BasisMember.FIRST).truncation_degree() is None
     z = 0.5 + 2j
     assert math.isfinite(abs(eval_basis(d, BasisMember.FIRST, z).y))
     with pytest.raises(DegenerateBasis):
         eval_basis(d, BasisMember.SECOND, z)
     assert not is_reachable(d, z)
+    # derive_params classes a set, and a Generic one beside it, as
+    # SecondBasisInvalid exactly where the second member's parameters fail
+    for q in (EquationParams(a, b, c), EquationParams(a, b + 0.01, c)):
+        d = derive_params(q)
+        try:
+            basis_hyp_params(d, BasisMember.SECOND)
+            invalid = False
+        except DegenerateBasis as exc:
+            invalid = isinstance(exc.__cause__, InvalidGamma)
+        assert (d.degeneracy is DegeneracyClass.SECOND_BASIS_INVALID) == invalid

@@ -98,7 +98,7 @@ def test_one_route_array_decides_strategy_reach_and_error():
     # a seeded grid of t over the cut, its guard band and t = 1, for random
     # triples, triples whose series or Pfaff transform truncates, and one
     # with integer gamma - alpha - beta
-    from papperitz.hypergeom import BRANCH_CUT_TOL, evaluable, gauss_2f1_jets
+    from papperitz.hypergeom import BRANCH_CUT_TOL, gauss_2f1_jets
 
     rng = np.random.default_rng(14)
     tol = BRANCH_CUT_TOL
@@ -112,9 +112,8 @@ def test_one_route_array_decides_strategy_reach_and_error():
         HypParams(-3, 1.2 + 0.5j, 0.8), HypParams(1.0, -3.0, -3.0),
         HypParams(2, 1, 2), HypParams(0.5, 0.5, 1.0), HypParams(0.3, 1.2, 0.8)]
     for p in triples:
-        reached = evaluable(p, t)
-        names = [select_strategy(p, x) for x in t]
-        assert [name is not EvalStrategy.UNREACHABLE for name in names] == reached.tolist()
+        reached = np.array([select_strategy(p, x) is not EvalStrategy.UNREACHABLE
+                            for x in t])
         if p.truncation_degree() is None:
             assert not reached[on_cut].any()
         else:
@@ -263,10 +262,8 @@ def _bits(a):
 
 
 def _mixed_points(p, rng, n=120):
-    from papperitz.hypergeom import evaluable
-
     t = rng.uniform(-2.5, 2.5, n) + 1j * rng.uniform(-2.5, 2.5, n)
-    return t[evaluable(p, t)]
+    return t[[select_strategy(p, x) is not EvalStrategy.UNREACHABLE for x in t]]
 
 
 def test_kernel_row_independent_of_batch_order_blocks_and_cache(monkeypatch):
