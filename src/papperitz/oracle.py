@@ -88,7 +88,7 @@ def residual_scale(z: complex, jet: Jet2) -> float:
             * (abs(jet.y) + abs(jet.dy) + abs(jet.d2y)))
 
 
-# Dormand-Prince 5(4) tableau.
+# Dormand-Prince 5(4) tableau; its seventh row would repeat _DP_B5.
 _DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _DP_A = (
     (),
@@ -97,7 +97,6 @@ _DP_A = (
     (44 / 45, -56 / 15, 32 / 9),
     (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
 _DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
@@ -121,21 +120,28 @@ def integrate_ivp(p: EquationParams, path: PathSpec,
     at every waypoint, the start included.  Raises NonFiniteSolution when
     y or y' is not finite at a waypoint.
 
-    The seven stages of a step are written out, as DOPRI5 codes do
-    (Hairer, Norsett & Wanner, Solving ODEs I, II.5), and every value is
-    the one a loop over the tableau gives, bit for bit:
-    - a stage adds (h*a_ij)*k_j in the order of j and skips the zero a72;
-    - the weighted sums add b_k*k_k in order to 0j, zero weights
-      included, as sum() from 0 does on CPython 3.11;
-    - 2a is formed once per call instead of once per stage;
-    - a real number times or plus a complex is written complex first, as
-      in k*w, (b + c*z)*4 and z*z + 1: the same IEEE operations, with one
-      failed dispatch to the real number's type fewer.
+    Steps are DOPRI5's, first same as last (Hairer, Norsett & Wanner,
+    Solving ODEs I, II.5), and evaluate the right-hand side six times: an
+    accepted step's stage 7, evaluated at its y5, is the next one's stage 1;
+    a rejected step keeps its stage 1 (s, y and y' stay, and c1 = 0); and
+    stage 1 is evaluated afresh only where a segment, and so u, starts.  A
+    stage 7 that is not finite inside a segment thus makes the next y5 not
+    finite, and the waypoint check raises; at a segment's end it is dropped.
+
+    The stages are written out, and every value is the one of the textbook
+    loop over the tableau, which evaluates stage 1 at every step, bit for
+    bit: a stage adds (h*a_ij)*k_j in the order of j; y5 and y5' add b_k*k_k
+    of stages 1 to 6 in order to 0j, the zero b2 included and no b7*k7 term,
+    as sum() from 0 does on CPython 3.11, and the error estimate adds
+    (b_k - b*_k)*k_k of all seven stages so; 2a is formed once per call; a
+    real number times or plus a complex is written complex first, as in
+    k*w, (b + c*z)*4 and z*z + 1: the same IEEE operations, with one failed
+    dispatch to the real number's type fewer.
     """
     c1, c2, c3, c4, c5, c6, c7 = _DP_C
     ((), (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54),
-     (a61, a62, a63, a64, a65), (a71, _, a73, a74, a75, a76)) = _DP_A
-    w1, w2, w3, w4, w5, w6, w7 = _DP_B5
+     (a61, a62, a63, a64, a65)) = _DP_A
+    w1, w2, w3, w4, w5, w6, _ = _DP_B5
     e1, e2, e3, e4, e5, e6, e7 = (b5 - b4 for b5, b4 in zip(_DP_B5, _DP_B4))
     two_a, b, c = 2 * p.a, p.b, p.c
     max_steps, abs_tol, rel_tol = ctrl.max_steps, ctrl.abs_tol, ctrl.rel_tol
@@ -150,17 +156,17 @@ def integrate_ivp(p: EquationParams, path: PathSpec,
         u = (z1 - z0) / seg_len
         s = 0.0
         h = min(seg_len, 0.1)
+        # each stage: its point z, then k = u * (y', y'') there
+        z = z0 + u * (s + c1 * h)
+        q = z * z + 1
+        ky1 = u * v
+        kv1 = u * (-(two_a * z * q * v + (b + c * z) * 4 * y) / (q * q))
         while s < seg_len:
             h = min(h, seg_len - s)
             if steps >= max_steps:
                 raise StepLimitExceeded(f"step budget {max_steps} "
                                         f"exhausted at z={z0 + s * u}")
             steps += 1
-            # each stage: its point z, then k = u * (y', y'') there
-            z = z0 + u * (s + c1 * h)
-            q = z * z + 1
-            ky1 = u * v
-            kv1 = u * (-(two_a * z * q * v + (b + c * z) * 4 * y) / (q * q))
             ha21 = h * a21
             yi = y + ky1 * ha21
             vi = v + kv1 * ha21
@@ -206,21 +212,14 @@ def integrate_ivp(p: EquationParams, path: PathSpec,
             q = z * z + 1
             ky6 = u * vi
             kv6 = u * (-(two_a * z * q * vi + (b + c * z) * 4 * yi) / (q * q))
-            ha71 = h * a71
-            ha73 = h * a73
-            ha74 = h * a74
-            ha75 = h * a75
-            ha76 = h * a76
-            yi = y + ky1 * ha71 + ky3 * ha73 + ky4 * ha74 + ky5 * ha75 + ky6 * ha76
-            vi = v + kv1 * ha71 + kv3 * ha73 + kv4 * ha74 + kv5 * ha75 + kv6 * ha76
+            y5 = y + (0j + ky1 * w1 + ky2 * w2 + ky3 * w3 + ky4 * w4
+                      + ky5 * w5 + ky6 * w6) * h
+            v5 = v + (0j + kv1 * w1 + kv2 * w2 + kv3 * w3 + kv4 * w4
+                      + kv5 * w5 + kv6 * w6) * h
             z = z0 + u * (s + c7 * h)
             q = z * z + 1
-            ky7 = u * vi
-            kv7 = u * (-(two_a * z * q * vi + (b + c * z) * 4 * yi) / (q * q))
-            y5 = y + (0j + ky1 * w1 + ky2 * w2 + ky3 * w3 + ky4 * w4
-                      + ky5 * w5 + ky6 * w6 + ky7 * w7) * h
-            v5 = v + (0j + kv1 * w1 + kv2 * w2 + kv3 * w3 + kv4 * w4
-                      + kv5 * w5 + kv6 * w6 + kv7 * w7) * h
+            ky7 = u * v5
+            kv7 = u * (-(two_a * z * q * v5 + (b + c * z) * 4 * y5) / (q * q))
             ey = (0j + ky1 * e1 + ky2 * e2 + ky3 * e3 + ky4 * e4
                   + ky5 * e5 + ky6 * e6 + ky7 * e7) * h
             ev = (0j + kv1 * e1 + kv2 * e2 + kv3 * e3 + kv4 * e4
@@ -233,6 +232,7 @@ def integrate_ivp(p: EquationParams, path: PathSpec,
             if err <= 1.0:
                 s += h
                 y, v = y5, v5
+                ky1, kv1 = ky7, kv7
             h *= 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
         out.append(_finite_sample(z1, y, v))
     return out
