@@ -73,7 +73,7 @@ class PathTooCloseToSingularity(PapperitzError):
 
 
 class NonFinitePath(PapperitzError):
-    """An integration segment is longer than the largest float."""
+    """A path has a waypoint or a segment length that is not finite."""
 
 
 class NonFiniteParameters(PapperitzError):

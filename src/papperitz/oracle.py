@@ -41,8 +41,8 @@ def _segment_distance(z0: complex, z1: complex, w: complex) -> float:
 
 
 class PathSpec(NamedTuple("PathSpec", [("waypoints", Tuple[complex, ...])])):
-    """Polyline in the z-plane kept clear of the singular points +-i, with
-    segments of finite length."""
+    """Polyline in the z-plane of finite waypoints, kept clear of the
+    singular points +-i, with segments of finite length."""
 
     __slots__ = ()
 
@@ -50,6 +50,9 @@ class PathSpec(NamedTuple("PathSpec", [("waypoints", Tuple[complex, ...])])):
         waypoints = tuple(complex(w) for w in waypoints)
         if len(waypoints) < 2:
             raise ValueError("a path needs at least two waypoints")
+        for w in waypoints:
+            if not cmath.isfinite(w):
+                raise NonFinitePath(f"waypoint {w} is not finite")
         for z0, z1 in zip(waypoints, waypoints[1:]):
             if not math.isfinite(_modulus(z1 - z0)):
                 raise NonFinitePath(f"segment {z0} -> {z1} is longer than the "
@@ -121,29 +124,27 @@ def integrate_ivp(p: EquationParams, path: PathSpec,
     y or y' is not finite at a waypoint.
 
     Steps are DOPRI5's, first same as last (Hairer, Norsett & Wanner,
-    Solving ODEs I, II.5), and evaluate the right-hand side six times: an
-    accepted step's stage 7, evaluated at its y5, is the next one's stage 1;
-    a rejected step keeps its stage 1 (s, y and y' stay, and c1 = 0); and
-    stage 1 is evaluated afresh only where a segment, and so u, starts.  A
-    stage 7 that is not finite inside a segment thus makes the next y5 not
-    finite, and the waypoint check raises; at a segment's end it is dropped.
+    Solving ODEs I, II.5): an accepted step's stage 7, evaluated at its y5,
+    is the next one's stage 1, a rejected step keeps its stage 1 (c1 = 0),
+    and stage 1 is evaluated afresh only where a segment, and so u, starts.
 
-    The stages are written out, and every value is the one of the textbook
-    loop over the tableau, which evaluates stage 1 at every step, bit for
-    bit: a stage adds (h*a_ij)*k_j in the order of j; y5 and y5' add b_k*k_k
-    of stages 1 to 6 in order to 0j, the zero b2 included and no b7*k7 term,
-    as sum() from 0 does on CPython 3.11, and the error estimate adds
-    (b_k - b*_k)*k_k of all seven stages so; 2a is formed once per call; a
-    real number times or plus a complex is written complex first, as in
-    k*w, (b + c*z)*4 and z*z + 1: the same IEEE operations, with one failed
-    dispatch to the real number's type fewer.
+    For finite values the written-out stages make the bits of the textbook
+    loop over the tableau (a stage adds (h*a_ij)*k_j, y5 b_k*k_k and the
+    error (b_k - b*_k)*k_k in order, as sum() does on CPython 3.11) from
+    fewer operations: stage 7 reuses stage 6's z, -2a*z*q, -4(b + c*z) and
+    q*q, as c6 = c7 = 1; -2a, -4b and -4c fold in the sign and the 4, exact
+    short of overflow or a subnormal product; the sums drop sum()'s start
+    and the b2 = b*2 = 0 terms, which leave a finite nonzero sum as it is
+    (where a stage overflows they can turn the loop's infinities into NaN,
+    and the tests check that the same steps and messages follow); a real
+    times or plus a complex is written complex first (k*w, z*z + 1).
     """
-    c1, c2, c3, c4, c5, c6, c7 = _DP_C
+    c1, c2, c3, c4, c5, c6, _ = _DP_C
     ((), (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54),
      (a61, a62, a63, a64, a65)) = _DP_A
-    w1, w2, w3, w4, w5, w6, _ = _DP_B5
-    e1, e2, e3, e4, e5, e6, e7 = (b5 - b4 for b5, b4 in zip(_DP_B5, _DP_B4))
-    two_a, b, c = 2 * p.a, p.b, p.c
+    w1, _, w3, w4, w5, w6, _ = _DP_B5
+    e1, _, e3, e4, e5, e6, e7 = (b5 - b4 for b5, b4 in zip(_DP_B5, _DP_B4))
+    m2a, m4b, m4c = -(2 * p.a), -4 * p.b, -4 * p.c
     max_steps, abs_tol, rel_tol = ctrl.max_steps, ctrl.abs_tol, ctrl.rel_tol
     y, v = complex(y0), complex(dy0)
     out = [_finite_sample(path.waypoints[0], y, v)]
@@ -160,7 +161,7 @@ def integrate_ivp(p: EquationParams, path: PathSpec,
         z = z0 + u * (s + c1 * h)
         q = z * z + 1
         ky1 = u * v
-        kv1 = u * (-(two_a * z * q * v + (b + c * z) * 4 * y) / (q * q))
+        kv1 = u * ((m2a * z * q * v + (m4b + m4c * z) * y) / (q * q))
         while s < seg_len:
             h = min(h, seg_len - s)
             if steps >= max_steps:
@@ -173,7 +174,7 @@ def integrate_ivp(p: EquationParams, path: PathSpec,
             z = z0 + u * (s + c2 * h)
             q = z * z + 1
             ky2 = u * vi
-            kv2 = u * (-(two_a * z * q * vi + (b + c * z) * 4 * yi) / (q * q))
+            kv2 = u * ((m2a * z * q * vi + (m4b + m4c * z) * yi) / (q * q))
             ha31 = h * a31
             ha32 = h * a32
             yi = y + ky1 * ha31 + ky2 * ha32
@@ -181,7 +182,7 @@ def integrate_ivp(p: EquationParams, path: PathSpec,
             z = z0 + u * (s + c3 * h)
             q = z * z + 1
             ky3 = u * vi
-            kv3 = u * (-(two_a * z * q * vi + (b + c * z) * 4 * yi) / (q * q))
+            kv3 = u * ((m2a * z * q * vi + (m4b + m4c * z) * yi) / (q * q))
             ha41 = h * a41
             ha42 = h * a42
             ha43 = h * a43
@@ -190,7 +191,7 @@ def integrate_ivp(p: EquationParams, path: PathSpec,
             z = z0 + u * (s + c4 * h)
             q = z * z + 1
             ky4 = u * vi
-            kv4 = u * (-(two_a * z * q * vi + (b + c * z) * 4 * yi) / (q * q))
+            kv4 = u * ((m2a * z * q * vi + (m4b + m4c * z) * yi) / (q * q))
             ha51 = h * a51
             ha52 = h * a52
             ha53 = h * a53
@@ -200,7 +201,7 @@ def integrate_ivp(p: EquationParams, path: PathSpec,
             z = z0 + u * (s + c5 * h)
             q = z * z + 1
             ky5 = u * vi
-            kv5 = u * (-(two_a * z * q * vi + (b + c * z) * 4 * yi) / (q * q))
+            kv5 = u * ((m2a * z * q * vi + (m4b + m4c * z) * yi) / (q * q))
             ha61 = h * a61
             ha62 = h * a62
             ha63 = h * a63
@@ -210,20 +211,17 @@ def integrate_ivp(p: EquationParams, path: PathSpec,
             vi = v + kv1 * ha61 + kv2 * ha62 + kv3 * ha63 + kv4 * ha64 + kv5 * ha65
             z = z0 + u * (s + c6 * h)
             q = z * z + 1
+            azq = m2a * z * q
+            bcz = m4b + m4c * z
+            qq = q * q
             ky6 = u * vi
-            kv6 = u * (-(two_a * z * q * vi + (b + c * z) * 4 * yi) / (q * q))
-            y5 = y + (0j + ky1 * w1 + ky2 * w2 + ky3 * w3 + ky4 * w4
-                      + ky5 * w5 + ky6 * w6) * h
-            v5 = v + (0j + kv1 * w1 + kv2 * w2 + kv3 * w3 + kv4 * w4
-                      + kv5 * w5 + kv6 * w6) * h
-            z = z0 + u * (s + c7 * h)
-            q = z * z + 1
+            kv6 = u * ((azq * vi + bcz * yi) / qq)
+            y5 = y + (ky1 * w1 + ky3 * w3 + ky4 * w4 + ky5 * w5 + ky6 * w6) * h
+            v5 = v + (kv1 * w1 + kv3 * w3 + kv4 * w4 + kv5 * w5 + kv6 * w6) * h
             ky7 = u * v5
-            kv7 = u * (-(two_a * z * q * v5 + (b + c * z) * 4 * y5) / (q * q))
-            ey = (0j + ky1 * e1 + ky2 * e2 + ky3 * e3 + ky4 * e4
-                  + ky5 * e5 + ky6 * e6 + ky7 * e7) * h
-            ev = (0j + kv1 * e1 + kv2 * e2 + kv3 * e3 + kv4 * e4
-                  + kv5 * e5 + kv6 * e6 + kv7 * e7) * h
+            kv7 = u * ((azq * v5 + bcz * y5) / qq)
+            ey = (ky1 * e1 + ky3 * e3 + ky4 * e4 + ky5 * e5 + ky6 * e6 + ky7 * e7) * h
+            ev = (kv1 * e1 + kv3 * e3 + kv4 * e4 + kv5 * e5 + kv6 * e6 + kv7 * e7) * h
             err = max(0.0,
                       abs(ey.real) / (abs_tol + rel_tol * abs(y5.real)),
                       abs(ey.imag) / (abs_tol + rel_tol * abs(y5.imag)),

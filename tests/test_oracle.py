@@ -1,3 +1,4 @@
+import cmath
 from collections import Counter
 
 import numpy as np
@@ -24,6 +25,7 @@ from papperitz.oracle import (
     _DP_C,
     IntegrationControl,
     PathSpec,
+    _finite_sample,
     integrate_ivp,
     residual_scale,
     residual_z,
@@ -383,6 +385,45 @@ def test_integrate_non_finite_raises():
     assert integrate_ivp(p, PathSpec([0.5, 3.0]), 1e307, 0)[-1][1] == 1e307
 
 
+def test_overflow_takes_the_loop_forms_path():
+    # integrate_ivp drops the sums' zero terms and lets stage 7 share stage
+    # 6's point, which leaves finite values as they are; inf*0 is NaN, so
+    # runs that overflow mid-path check that their non-finite values take
+    # the loop's steps and raise its messages: at the first waypoint that is
+    # not finite, and with a budget one step short of it
+    assert _DP_C[5] == _DP_C[6] == 1.0
+    rng = np.random.default_rng(39)
+    ctrl = IntegrationControl(max_steps=5000)
+    runs = 0
+    for i in range(100):
+        p = random_generic_equation(rng)[0]
+        y0, dy0 = (10 ** rng.uniform(290, 308, 2)
+                   * np.exp(2j * np.pi * rng.uniform(size=2))).tolist()
+        path = PathSpec(BENCH_PATH if i % 2 else DEFAULT_PATH)
+        log = []
+        out = _loop_integrate_ivp(p, path, y0, dy0, ctrl, log)
+        first = next((k for k, (_, y, v) in enumerate(out)
+                      if not (cmath.isfinite(y) and cmath.isfinite(v))), None)
+        if first is None:
+            continue
+        with pytest.raises(NonFiniteSolution) as want:
+            _finite_sample(*out[first])
+        with pytest.raises(NonFiniteSolution) as got:
+            integrate_ivp(p, path, y0, dy0, ctrl)
+        assert str(got.value) == str(want.value)
+        short = IntegrationControl(
+            max_steps=sum(seg < first for seg, *_ in log) - 1)
+        with pytest.raises(StepLimitExceeded) as want:
+            _loop_integrate_ivp(p, path, y0, dy0, short)
+        with pytest.raises(StepLimitExceeded) as got:
+            integrate_ivp(p, path, y0, dy0, short)
+        assert str(got.value) == str(want.value)
+        runs += 1
+        if runs == 20:
+            break
+    assert runs == 20
+
+
 def _pointwise_compare(p, d, c1, c2, path, ctrl=IntegrationControl()):
     """compare_closed_numeric with one eval_solution call per waypoint."""
     start_jet = eval_solution(d, c1, c2, path.waypoints[0])
@@ -418,6 +459,15 @@ def test_path_segments_of_any_finite_length():
         PathSpec([-1e300 + 1j, 1e300 + 1j])
     with pytest.raises(NonFinitePath):
         PathSpec([0, -1e308, 1e308])
+
+
+@pytest.mark.parametrize("bad", [complex("nan"), complex("inf"),
+                                 complex(1, float("nan"))])
+def test_path_names_a_waypoint_that_is_not_finite(bad):
+    with pytest.raises(NonFinitePath) as exc:
+        PathSpec([2j, bad, 2 + 2j])
+    assert str(exc.value) == f"waypoint {bad} is not finite"
+    assert exc.value.exit_code == 3
 
 
 def _squared_length_distance(z0, z1, w):
