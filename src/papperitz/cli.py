@@ -3,7 +3,7 @@
 Exit codes: 0 success, 1 usage/parse error (including a negative --seed
 or --samples, or a --tol that is negative or not finite), 2 degenerate
 parameters, 3 unreachable/excluded evaluation point or path, a path
-segment longer than the largest float, a series or an integration that
+waypoint beyond |z| = 1e77, a series or an integration that
 exhausts its term or step budget (a polynomial of degree 10^4 or more
 included), or a value that overflows to an infinity or NaN (derived
 parameters included), 4 verification failure.  A library error ends the

@@ -73,7 +73,8 @@ class PathTooCloseToSingularity(PapperitzError):
 
 
 class NonFinitePath(PapperitzError):
-    """A path has a waypoint or a segment length that is not finite."""
+    """A path has a waypoint that is not finite or lies beyond |z| = 1e77,
+    where the equation's coefficient (1 + z^2)^2 overflows."""
 
 
 class NonFiniteParameters(PapperitzError):

@@ -7,11 +7,11 @@ reaches raise a structured error instead of returning a bad value.
 
 One array kernel, :func:`series_jets`, sums a series and its first two
 derivatives together over an array of arguments, in passes that go on until
-each point meets the stopping rule, reading the coefficients from a table
-built once per parameter triple.  The transforms take F' and F'' from the
-jets of their transformed series by the chain rule.  The functions of one
-point are wrappers over an array of one, and a point's value does not
-depend on the other points of its array.
+each point meets the stopping rule, reading the coefficients from tables
+that each call builds for itself: the module keeps no cache.  The
+transforms take F' and F'' from the jets of their transformed series by
+the chain rule.  The functions of one point are wrappers over an array of
+one, and a point's value does not depend on the other points of its array.
 
 The series policy is fixed: REL_TOL, MAX_TERMS and REGION_CUTOFF are module
 constants, read at each call.
@@ -88,7 +88,6 @@ _STRATEGIES = tuple(EvalStrategy)
 
 # -- the kernel ---------------------------------------------------------------
 
-@functools.lru_cache(maxsize=32)
 def _jet_coefficients(p: HypParams, length: int, shift: Optional[complex] = None):
     """Rows c_n, (n+1) c_{n+1} and (n+1)(n+2) c_{n+2} for n < length, where
     c_n are the series coefficients, the cumulative product of the term
@@ -105,7 +104,8 @@ def _jet_coefficients(p: HypParams, length: int, shift: Optional[complex] = None
     k = p.truncation_degree()
     m = length + 2 if k is None else min(length + 2, k + 1)
     a, b, g = complex(p.alpha), complex(p.beta), complex(p.gamma)
-    n, n1, falling = _counts(length + 1)
+    n = np.arange(float(length + 1))
+    n1 = n + 1
     c = np.zeros(length + 2, dtype=complex)
     c[0] = 1.0
     # an overflow is reported by the finite column returned, not as a warning
@@ -113,99 +113,21 @@ def _jet_coefficients(p: HypParams, length: int, shift: Optional[complex] = None
         c[1:m] = (a + n[:m - 1]) * (b + n[:m - 1]) / ((g + n[:m - 1]) * n1[:m - 1])
         np.multiply.accumulate(c[:m], out=c[:m])
         if shift is None:
-            table = falling[:, :length] * np.array([c[:-2], c[1:-1], c[2:]])
+            n1 = n1[:length]
+            falling = np.array([np.ones(length), n1, n1 * (n1 + 1)])
+            table = falling * np.array([c[:-2], c[1:-1], c[2:]])
         else:
             c = c[:length]
             sn = shift + n[:length]
             table = np.array([c, sn * c, sn * (sn - 1) * c])
     finite = all_of(np.isfinite(table), axis=0)
-    return _frozen(table), length if all_of(finite) else int(finite.argmin())
-
-
-@functools.lru_cache(maxsize=8)
-def _counts(length: int):
-    """n, n+1 and the rows 1, n+1, (n+1)(n+2), for n < length."""
-    n = np.arange(float(length))
-    n1 = n + 1
-    return _frozen(n), _frozen(n1), _frozen(np.array([np.ones(length), n1, n1 * (n1 + 1)]))
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    """a made read-only: a cached table is shared by every caller."""
-    a.flags.writeable = False
-    return a
+    return table, length if all_of(finite) else int(finite.argmin())
 
 
 def _table_length(n_terms: int) -> int:
     """Table length serving n_terms terms: a power of two, so that few
-    tables are built per parameter triple."""
+    tables are built per call."""
     return max(64, 1 << (n_terms - 1).bit_length())
-
-
-def _block_jets(p: HypParams, w: np.ndarray, shift: Optional[complex], out: np.ndarray):
-    """Sums one block of points into the columns of out; returns the fault of
-    the first point the stopping rule has not released, as (position,
-    exception), or None.  A point fails NoConvergence when it is not released
-    within MAX_TERMS + 1 terms, and NonFiniteParameters when it is not
-    released before the first column of the table that is not finite.
-
-    The block is summed in passes of _PASS_COLUMNS columns.  A pass starts
-    from the last column of the one before, with each live point's partial
-    sums and small-term flag carried over, and its powers from the power of
-    the column before that, so each power and partial sum is the same
-    sequential product and sum whatever the pass width.  (numpy forms the
-    products of an accumulate two columns wide with fused multiply-adds,
-    and of a wider one as a scalar loop does, so a pass's powers take at
-    least three.)  A point stops at the first column m >= 2 where terms m-1
-    and m of every sum are at most REL_TOL times that sum's partial sum; a
-    truncating series sums exactly its k+1 columns."""
-    k = p.truncation_degree()
-    cap = MAX_TERMS + 1 if k is None else k + 1
-    live = np.arange(len(w))
-    # the rule starts at m = 2: the flag of column 0 is False
-    power, flag, start = 1.0, np.zeros(len(w), dtype=bool), 0
-    while True:
-        end = min(start + _PASS_COLUMNS + 1, cap)
-        table, finite = _jet_coefficients(p, _table_length(end), shift)
-        if finite <= start + 1:
-            # no column is left to release a live point at
-            return int(live[0]), NonFiniteParameters(
-                f"the series coefficients of {p} overflow at term {finite}, "
-                f"before the series at w={complex(w[0])} met its stopping rule")
-        end = min(end, finite)
-        rows = table[:, start:end]
-        powers = np.empty((len(w), end - start + 1), dtype=complex)
-        powers[:, 0] = power
-        powers[:, 1:] = w[:, None]
-        if not start:
-            powers[:, 1] = 1.0  # column 0 is w^0 itself
-        np.multiply.accumulate(powers, axis=1, out=powers)
-        terms = powers[:, None, 1:] * rows
-        if start:
-            terms[:, :, 0] = carried
-        sums = np.add.accumulate(terms, axis=2)
-        every = np.arange(len(w))
-        if k is None:
-            small = np.logical_and.reduce(np.abs(terms) <= REL_TOL * np.abs(sums), axis=1)
-            small[:, 0] = flag
-            flag = small[:, -1]
-            both = small[:, :-1] & small[:, 1:]
-            stop = both.argmax(axis=1) + 1
-            done = both[every, stop - 1]
-        else:
-            stop, done = end - start - 1, np.full(len(w), end == cap)
-        # a point not released yet is written again by a later pass
-        out[:, live] = sums[every, :, stop].T
-        keep = ~done
-        live = live[keep]
-        if not len(live):
-            return None
-        if end == cap:
-            return int(live[0]), NoConvergence(
-                f"series for {p} at w={complex(w[keep][0])} did not converge "
-                f"within {MAX_TERMS} terms")
-        w, power, carried, flag = w[keep], powers[keep, -2], sums[keep, :, -1], flag[keep]
-        start = end - 1
 
 
 def series_jets(p: HypParams, w, shift: Optional[complex] = None):
@@ -213,11 +135,28 @@ def series_jets(p: HypParams, w, shift: Optional[complex] = None):
     shift s the sums w^-s (w^s S), w^(1-s) (w^s S)' and w^(2-s) (w^s S)''.
 
     Returns a (3, n) array and the fault of the first point that fails, as
-    (index, exception), or None.  |w| < 1 is required unless the series
-    truncates; a truncating series sums exactly its k+1 terms at any w, and
-    one of more than MAX_TERMS terms fails at its first point.  Points are
-    summed in blocks of BLOCK_TERMS // _PASS_COLUMNS points up to the first
-    point outside the unit disk, so a point the kernel fails at comes first."""
+    (index, exception), or None; the values of a failed array are not to be
+    used.  |w| < 1 is required unless the series truncates; a truncating
+    series sums exactly its k+1 terms at any w, and one of more than
+    MAX_TERMS terms fails at its first point.  Points are summed up to the
+    first point outside the unit disk, so a point the kernel fails at comes
+    first.  A point fails NoConvergence when it is not released within
+    MAX_TERMS + 1 terms, and NonFiniteParameters when it is not released
+    before the first column of the coefficient table that is not finite.
+
+    The points are summed in passes of _PASS_COLUMNS columns, each pass over
+    the points not yet released in blocks of BLOCK_TERMS // _PASS_COLUMNS
+    points, and the call builds a longer table only when a pass reaches past
+    the one it holds.  A pass starts from the last column of the one before,
+    with each live point's partial sums and small-term flag carried over,
+    and its powers from the power of the column before that, so each power
+    and partial sum is the same sequential product and sum whatever the pass
+    width and the block.  (numpy forms the products of an accumulate two
+    columns wide with fused multiply-adds, and of a wider one as a scalar
+    loop does, so a pass's powers take at least three.)  A point stops at
+    the first column m >= 2 where terms m-1 and m of every sum are at most
+    REL_TOL times that sum's partial sum; a truncating series sums exactly
+    its k+1 columns."""
     w = np.asarray(w, dtype=complex)
     count, fault = len(w), None
     k = p.truncation_degree()
@@ -234,12 +173,63 @@ def series_jets(p: HypParams, w, shift: Optional[complex] = None):
                                           f"not inside the unit disk and no "
                                           f"truncation applies"))
     out = np.zeros((3, len(w)), dtype=complex)
+    cap = MAX_TERMS + 1 if k is None else k + 1
     step = max(1, BLOCK_TERMS // _PASS_COLUMNS)
-    for lo in range(0, count, step):
-        block = slice(lo, min(lo + step, count))
-        stuck = _block_jets(p, w[block], shift, out[:, block])
-        if stuck is not None:
-            return out, (lo + stuck[0], stuck[1])
+    # each live point's index, power of the column before the pass, partial
+    # sums and flag; the rule starts at m = 2: the flag of column 0 is False
+    live = np.arange(count)
+    power = np.ones(count, dtype=complex)
+    carried = np.empty((count, 3), dtype=complex)
+    flag = np.zeros(count, dtype=bool)
+    start, held = 0, 0
+    while len(live):
+        end = min(start + _PASS_COLUMNS + 1, cap)
+        if held < end:
+            held = _table_length(end)
+            table, finite = _jet_coefficients(p, held, shift)
+        if finite <= start + 1:
+            # no column is left to release a live point at
+            return out, (int(live[0]), NonFiniteParameters(
+                f"the series coefficients of {p} overflow at term {finite}, "
+                f"before the series at w={complex(w[live[0]])} met its stopping rule"))
+        end = min(end, finite)
+        rows = table[:, start:end]
+        x = w[live]
+        done = np.full(len(live), end == cap)
+        for lo in range(0, len(live), step):
+            b = slice(lo, lo + step)
+            every = np.arange(len(x[b]))
+            powers = np.empty((len(every), end - start + 1), dtype=complex)
+            powers[:, 0] = power[b]
+            powers[:, 1:] = x[b, None]
+            if not start:
+                powers[:, 1] = 1.0  # column 0 is w^0 itself
+            np.multiply.accumulate(powers, axis=1, out=powers)
+            terms = powers[:, None, 1:] * rows
+            if start:
+                terms[:, :, 0] = carried[b]
+            sums = np.add.accumulate(terms, axis=2)
+            if k is None:
+                small = np.logical_and.reduce(np.abs(terms) <= REL_TOL * np.abs(sums), axis=1)
+                small[:, 0] = flag[b]
+                flag[b] = small[:, -1]
+                both = small[:, :-1] & small[:, 1:]
+                stop = both.argmax(axis=1) + 1
+                done[b] = both[every, stop - 1]
+            else:
+                stop = end - start - 1
+            # a point not released yet is written again by a later pass
+            out[:, live[b]] = sums[every, :, stop].T
+            power[b], carried[b] = powers[:, -2], sums[:, :, -1]
+        if all_of(done):
+            return out, fault
+        keep = ~done
+        live, power, carried, flag = live[keep], power[keep], carried[keep], flag[keep]
+        if end == cap:
+            return out, (int(live[0]), NoConvergence(
+                f"series for {p} at w={complex(w[live[0]])} did not converge "
+                f"within {MAX_TERMS} terms"))
+        start = end - 1
     return out, fault
 
 

@@ -22,27 +22,25 @@ _SINGULARITIES = (1j, -1j)
 #: Least distance a path keeps from each singular point.
 MIN_SINGULARITY_DISTANCE = 0.1
 
-
-def _modulus(x: complex) -> float:
-    """|x|, or inf where it is larger than the largest float."""
-    return math.hypot(x.real, x.imag)
+#: Largest |z| of a waypoint: the largest power of ten whose fourth power is
+#: a float, since (1 + z^2)^2 in y'' overflows once |z| passes ~1.16e77.
+MAX_WAYPOINT_MODULUS = 1e77
 
 
 def _segment_distance(z0: complex, z1: complex, w: complex) -> float:
-    """Distance from point w to the segment [z0, z1] of finite length, or
-    inf where it is larger than the largest float: no square is formed."""
+    """Distance from point w to the segment [z0, z1]; no square is formed."""
     d = z1 - z0
-    length = _modulus(d)
+    length = abs(d)
     if length == 0.0:
-        return _modulus(w - z0)
+        return abs(w - z0)
     u = d / length
     s = min(length, max(0.0, ((w - z0) * u.conjugate()).real))
-    return _modulus(z0 + s * u - w)
+    return abs(z0 + s * u - w)
 
 
 class PathSpec(NamedTuple("PathSpec", [("waypoints", Tuple[complex, ...])])):
-    """Polyline in the z-plane of finite waypoints, kept clear of the
-    singular points +-i, with segments of finite length."""
+    """Polyline in the z-plane of finite waypoints within |z| <=
+    MAX_WAYPOINT_MODULUS, kept clear of the singular points +-i."""
 
     __slots__ = ()
 
@@ -53,10 +51,12 @@ class PathSpec(NamedTuple("PathSpec", [("waypoints", Tuple[complex, ...])])):
         for w in waypoints:
             if not cmath.isfinite(w):
                 raise NonFinitePath(f"waypoint {w} is not finite")
+            # hypot and not abs(), which raises where |w| overflows
+            if math.hypot(w.real, w.imag) > MAX_WAYPOINT_MODULUS:
+                raise NonFinitePath(f"waypoint {w} lies beyond |z| = "
+                                    f"{MAX_WAYPOINT_MODULUS:g}, where the "
+                                    f"equation's coefficients overflow")
         for z0, z1 in zip(waypoints, waypoints[1:]):
-            if not math.isfinite(_modulus(z1 - z0)):
-                raise NonFinitePath(f"segment {z0} -> {z1} is longer than the "
-                                    f"largest float")
             for s in _SINGULARITIES:
                 dist = _segment_distance(z0, z1, s)
                 if dist < MIN_SINGULARITY_DISTANCE:

@@ -814,7 +814,8 @@ BAD_INPUT_CASES = [
     (("params", "--a", "0,0", "--b", "1e308,0", "--c", "0,0", "--json"), 3),
     (("eval", "--a", "0,0", "--b", "1e308,0", "--c", "0,0", "--z", "0.5,1"), 3),
     (("verify", "--a", "0,0", "--b", "1e308,0", "--c", "0,0"), 3),
-    # a segment of length 1e300, then one longer than the largest float
+    # waypoints beyond |z| = 1e77, where (1 + z^2)^2 overflows: 1e300, then
+    # -1e308 and 1e308, a segment longer than the largest float
     (("integrate", *ZERO_ABC, "--path", "0,0;1e300,0", "--y0", "1,0",
       "--dy0", "0,0"), 3),
     (("integrate", *ZERO_ABC, "--path", "-1e308,0;1e308,0", "--y0", "1,0",
@@ -876,6 +877,18 @@ def test_large_z_names_its_fault(capsys, z, message):
                              "--c", "0.1,0", "--z", z)
     assert code == 3 and out == "" and len(err.splitlines()) == 1
     assert message in err and "pole" not in err
+
+
+@pytest.mark.parametrize("far", ["1e100", "1e160"])
+def test_integrate_refuses_a_waypoint_beyond_the_bound(capsys, far):
+    # at 1e100 (1 + z^2)^2 overflowed and y' froze with exit 0; at 1e160
+    # the solution was blamed for the overflow
+    code, out, err = run_cli(capsys, "integrate", "--a", "0.3,0.1", "--b", "0.2,0",
+                             "--c", "0.1,0.2", "--path", f"2,0;{far},0",
+                             "--y0", "1,0", "--dy0", "0,0")
+    assert code == 3 and out == ""
+    assert err == (f"invalid path: waypoint ({float(far):g}+0j) lies beyond "
+                   f"|z| = 1e+77, where the equation's coefficients overflow\n")
 
 
 def test_eval_second_basis_invalid_exit_2(capsys):

@@ -281,15 +281,15 @@ def test_kernel_row_independent_of_batch_order_blocks_and_cache(monkeypatch):
         assert _bits(alone) == _bits(whole)
         perm = rng.permutation(len(t))
         assert _bits(gauss_2f1_jets(p, t[perm])[0]) == _bits(whole[:, perm])
-        hypergeom._jet_coefficients.cache_clear()
         for block_terms in (500, 1 << 13):
             monkeypatch.setattr(hypergeom, "BLOCK_TERMS", block_terms)
             assert _bits(gauss_2f1_jets(p, t)[0]) == _bits(whole)
         monkeypatch.undo()
-        # a table built longer first serves the same prefix
-        hypergeom._jet_coefficients.cache_clear()
-        gauss_2f1_jets(p, np.array([0.69j]))
-        assert _bits(gauss_2f1_jets(p, t)[0]) == _bits(whole)
+        # a longer table starts with the bits of a shorter one
+        for shift in (None, complex(p.gamma - p.alpha - p.beta)):
+            longer, _ = hypergeom._jet_coefficients(p, 512, shift)
+            shorter, _ = hypergeom._jet_coefficients(p, 256, shift)
+            assert _bits(longer[:, :256]) == _bits(shorter)
         assert gauss_2f1_jet(p, complex(t[0])) == tuple(whole[:, 0].tolist())
     # the block size only decides which points share a block: the rows at
     # BLOCK_TERMS are those at the former 1 << 13, for every series kind
@@ -463,7 +463,6 @@ def test_kernel_reports_a_coefficient_overflow(monkeypatch):
     w = np.array([0.01, 0.02j, 0.54 - 0.31j, 0.6])
     shift = complex(p.gamma - p.alpha - p.beta)
     for s in (None, shift):
-        hypergeom._jet_coefficients.cache_clear()
         with np.errstate(over="ignore", invalid="ignore"):
             values, fault = series_jets(p, w, s)
             released, none = series_jets(p, w[:2], s)
@@ -485,13 +484,92 @@ def test_coefficient_overflow_warns_nothing():
     # by the kernel's fault alone, not by numpy RuntimeWarnings
     import warnings
 
-    from papperitz import hypergeom
     from papperitz.hypergeom import series_jets
 
     p = HypParams(2 - 600j, 1 - 300j, 2 - 300j)
     for s in (None, complex(p.gamma - p.alpha - p.beta)):
-        hypergeom._jet_coefficients.cache_clear()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             _, fault = series_jets(p, [0.54 - 0.31j], s)
         assert fault[0] == 0 and isinstance(fault[1], NonFiniteParameters)
+
+
+def _first_failure_alone(p, w, shift):
+    """Values of the points before the first failure met by a loop of
+    one-point calls, and that failure as (index, type, message)."""
+    from papperitz.hypergeom import series_jets
+
+    values = []
+    for i in range(len(w)):
+        one, fault = series_jets(p, w[i:i + 1], shift)
+        if fault is not None:
+            return np.array(values).T, (i, type(fault[1]), str(fault[1]))
+        values.append(one[:, 0])
+    return np.array(values).T, None
+
+
+def test_kernel_faults_across_blocks_match_one_point_calls(monkeypatch):
+    # arrays of 48 points, three blocks or more at every setting below, each
+    # mixing points released in the first pass, points summed over later
+    # passes and failing points, some in the third block
+    from papperitz import hypergeom
+    from papperitz.hypergeom import series_jets
+
+    angles = np.exp(1j * np.linspace(-2.5, 2.5, 48))
+    slow = HypParams(20, 19.5 + 1j, 1.5)
+    # within 1000 terms, |w| = 0.05 and 0.2 are released in the first pass,
+    # 0.5 and 0.7 in later ones, and 0.9 not at all
+    w = np.resize([0.05, 0.5, 0.2, 0.7], 48) * angles
+    w[[37, 45]] *= 0.9 / abs(w[[37, 45]])
+    outside = w.copy()
+    outside[20] = 1.5
+    late_outside = w.copy()
+    late_outside[41] = 1.5j
+    # the coefficients of this triple overflow at term 668: |w| = 0.01 is
+    # released in the first pass, 0.3 and 0.5 in later ones, 0.62 not at all
+    huge = HypParams(2 - 600j, 1 - 300j, 2 - 300j)
+    v = np.resize([0.01, 0.3, 0.01, 0.5], 48) * angles
+    v[[38, 46]] *= 0.62 / abs(v[[38, 46]])
+    shift = complex(huge.gamma - huge.alpha - huge.beta)
+    arrays = [(slow, w, None), (slow, outside, None), (slow, late_outside, None),
+              (huge, v, None), (huge, v, shift)]
+    monkeypatch.setattr(hypergeom, "MAX_TERMS", 1000)
+    expected = [_first_failure_alone(*args) for args in arrays]
+    assert [f[0] for _, f in expected] == [37, 20, 37, 38, 38]
+    assert [f[1] for _, f in expected] == [NoConvergence] * 3 + [NonFiniteParameters] * 2
+    for block_terms in (hypergeom.BLOCK_TERMS, 700):
+        for width in (hypergeom._PASS_COLUMNS, 200):
+            monkeypatch.setattr(hypergeom, "BLOCK_TERMS", block_terms)
+            monkeypatch.setattr(hypergeom, "_PASS_COLUMNS", width)
+            assert 48 >= 3 * (block_terms // width)
+            for (p, args, s), (alone, fault) in zip(arrays, expected):
+                values, (i, exc) = series_jets(p, args, s)
+                assert (i, type(exc), str(exc)) == fault
+                assert _bits(values[:, :i]) == _bits(alone)
+
+
+def test_each_call_builds_a_table_per_length(monkeypatch):
+    from papperitz import hypergeom
+    from papperitz.hypergeom import series_jets
+
+    built = []
+    jet_coefficients = hypergeom._jet_coefficients
+
+    def counted(p, length, shift=None):
+        built.append(length)
+        return jet_coefficients(p, length, shift)
+
+    monkeypatch.setattr(hypergeom, "_jet_coefficients", counted)
+    rng = np.random.default_rng(43)
+    p = random_hyp_params(rng)
+    w = 0.6 * np.sqrt(rng.uniform(0, 1, 150)) * np.exp(2j * np.pi * rng.uniform(0, 1, 150))
+    # ten blocks released in one pass: one table, however many blocks
+    assert series_jets(p, w)[1] is None and built == [256]
+    # over several passes, one table per length the passes reach; with the
+    # table the call already holds while it is long enough
+    w = 0.9 * np.exp(1j * np.linspace(-0.5, 0.5, 40))
+    for width, lengths in ((128, [256, 512, 1024, 2048]), (3, [64, 128, 256, 512, 1024, 2048])):
+        monkeypatch.setattr(hypergeom, "_PASS_COLUMNS", width)
+        built.clear()
+        assert series_jets(HypParams(20, 19.5 + 1j, 1.5), w)[1] is None
+        assert built == lengths

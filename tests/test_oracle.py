@@ -1,4 +1,5 @@
 import cmath
+import math
 from collections import Counter
 
 import numpy as np
@@ -19,6 +20,7 @@ from papperitz.errors import (
 )
 from papperitz.mobius import forward_jets
 from papperitz.oracle import (
+    MAX_WAYPOINT_MODULUS,
     _DP_A,
     _DP_B4,
     _DP_B5,
@@ -451,14 +453,54 @@ def test_compare_closed_numeric_matches_pointwise_report():
             assert all(type(s[1]) is complex for s in got.samples)
 
 
-def test_path_segments_of_any_finite_length():
-    PathSpec([0, 1e300])
-    PathSpec([1.5e308 + 1.5e308j, 1.6e308 + 1.6e308j])
+def test_path_waypoints_within_the_coefficient_bound():
+    # (1 + z^2)^2 is finite on the disk, and so on every segment in it
+    for z in MAX_WAYPOINT_MODULUS * np.exp(1j * np.linspace(0, np.pi, 7)):
+        q = complex(z) ** 2 + 1
+        assert cmath.isfinite(q * q)
+    PathSpec([0, MAX_WAYPOINT_MODULUS])
+    PathSpec([-1e77, 1e77j, 1e77])
     # a long segment passing through +i, measured without a square
     with pytest.raises(PathTooCloseToSingularity):
-        PathSpec([-1e300 + 1j, 1e300 + 1j])
-    with pytest.raises(NonFinitePath):
-        PathSpec([0, -1e308, 1e308])
+        PathSpec([-1e77 + 1j, 1e77 + 1j])
+    for far in (math.nextafter(1e77, math.inf), 1e100j, -1e308, 1.5e308 + 1.5e308j):
+        with pytest.raises(NonFinitePath) as exc:
+            PathSpec([2, far])
+        assert str(exc.value) == (f"waypoint {complex(far)} lies beyond |z| = 1e+77, "
+                                  f"where the equation's coefficients overflow")
+        assert exc.value.exit_code == 3
+
+
+def _mp_first_member(p, z):
+    """y1 = t^lambda F(alpha, beta; gamma; t) and dy1/dz at z, in mpmath at
+    200 digits, which resolve 1 - t = 2i/(z+i) at |z| = 1e77."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(200):
+        a, b, c, z = (mpmath.mpc(v) for v in (p.a, p.b, p.c, z))
+        delta = mpmath.sqrt((1 - a) ** 2 + 4 * (b + 1j * c))
+        delta_star = mpmath.sqrt((1 - a) ** 2 + 4 * (b - 1j * c))
+        alpha = 1 - a + (delta + delta_star) / 2
+        beta = 1 - a + (delta - delta_star) / 2
+        gamma = 1 + delta
+        lam = (1 - a + delta) / 2
+        t = (z - 1j) / (z + 1j)
+        f = mpmath.hyp2f1(alpha, beta, gamma, t)
+        df = alpha * beta / gamma * mpmath.hyp2f1(alpha + 1, beta + 1, gamma + 1, t)
+        y = mpmath.power(t, lam) * f
+        dy = (lam / t * y + mpmath.power(t, lam) * df) * 2j / (z + 1j) ** 2
+        return complex(y), complex(dy)
+
+
+def test_integrator_keeps_its_digits_out_to_the_waypoint_bound():
+    # y1 from z = 2 to |z| = 1e77; past ~1.2e77 (1 + z^2)^2 overflowed, y''
+    # read 0 and the error grew to 1.8e-4 at 1.2e77 and 25 at 1e80
+    p = EquationParams(0.3 + 0.1j, 0.2, 0.1 + 0.2j)
+    y0, dy0 = _mp_first_member(p, 2)
+    for far in (1e77, 1e77j):
+        y, dy = _mp_first_member(p, far)
+        _, y_num, dy_num = integrate_ivp(p, PathSpec([2, far]), y0, dy0)[-1]
+        assert abs(y_num - y) <= 1e-8 * abs(y)
+        assert abs(dy_num - dy) <= 1e-8 * abs(dy)
 
 
 @pytest.mark.parametrize("bad", [complex("nan"), complex("inf"),

@@ -59,7 +59,7 @@ def test_repr(value, text):
 
 @pytest.mark.parametrize("value, _", SAMPLES, ids=IDS)
 def test_equal_values_hash_equal(value, _):
-    # the hash of the tuple of the fields: HypParams keys lru_caches
+    # the hash of the tuple of the fields, as a dict or set key needs
     again = type(value)(*_fields(value))
     assert again == value and hash(again) == hash(value)
     assert hash(value) == hash(_fields(value))
@@ -87,8 +87,8 @@ def test_constructor_errors():
                               "singular point 1j")
     with pytest.raises(NonFinitePath) as exc:
         PathSpec([0, 1e308 + 1e308j, -1e308 - 1e308j])
-    assert str(exc.value) == ("segment (1e+308+1e+308j) -> (-1e+308-1e+308j) is "
-                              "longer than the largest float")
+    assert str(exc.value) == ("waypoint (1e+308+1e+308j) lies beyond |z| = 1e+77, "
+                              "where the equation's coefficients overflow")
     with pytest.raises(ValueError, match="^tolerances must be positive$"):
         IntegrationControl(abs_tol=0)
     with pytest.raises(ValueError, match="^max_steps must be at least 1$"):
