@@ -11,8 +11,6 @@ command with the exit code its class in papperitz.errors declares.
 """
 
 import argparse
-import csv
-import json
 import math
 import sys
 from typing import List, Optional
@@ -161,6 +159,7 @@ def _read_points(path: str) -> List[complex]:
     of a repeated column name counts; blank rows are skipped, and extra
     columns and values are ignored, as the csv module's dict reader reads
     them."""
+    import csv
     points: List[complex] = []
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -186,6 +185,7 @@ def _read_points(path: str) -> List[complex]:
 
 
 def _write_json(obj):
+    import json
     sys.stdout.write(json.dumps(obj) + "\n")
 
 
@@ -331,27 +331,30 @@ _COMMANDS = {
 }
 
 
-def _build_parser(command: Optional[str] = None) -> _Parser:
-    """The parser, with the arguments of the subcommand `command` only:
-    adding those of all five costs more than a one-point evaluation, and
-    a request parses one subcommand's."""
+def _build_parser(argv: List[str]) -> _Parser:
+    """The parser of argv.  A request led by its command gets that
+    subcommand's parser alone: building all five costs more than a
+    one-point evaluation.  Any other argv gets all five, so that its help
+    and usage errors name every command, with the arguments of the first
+    word that is not an option only: the top-level parser takes no option
+    values, so that word is the subcommand."""
+    command = next((word for word in argv if not word.startswith("-")), None)
+    alone = bool(argv) and argv[0] in _COMMANDS
     parser = _Parser(prog="papperitz",
                      description="Closed-form solutions of "
                                  "(1+z^2)^2 y'' + 2az(1+z^2) y' + 4(b+cz) y = 0")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_line, add_arguments, _) in _COMMANDS.items():
-        sp = sub.add_parser(name, help=help_line)
         if name == command:
-            add_arguments(sp)
+            add_arguments(sub.add_parser(name, help=help_line))
+        elif not alone:
+            sub.add_parser(name, help=help_line)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # the top-level parser takes no option values: the first word that is
-    # not an option is the subcommand
-    command = next((word for word in argv if not word.startswith("-")), None)
-    args = _build_parser(command).parse_args(argv)
+    args = _build_parser(argv).parse_args(argv)
     _, _, handler = _COMMANDS[args.command]
     try:
         return handler(args)
@@ -361,4 +364,3 @@ def main(argv: Optional[List[str]] = None) -> int:
     except PapperitzError as exc:
         print(f"papperitz: error: {exc}", file=sys.stderr)
         return exc.exit_code
-

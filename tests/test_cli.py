@@ -753,7 +753,86 @@ def test_subcommand_help_lists_its_options(capsys, command, option):
     assert option in capsys.readouterr().out
 
 
-ZERO_ABC = ("--a", "0,0", "--b", "0,0", "--c", "0,0")
+DESCRIPTION = cli._build_parser([]).description
+
+
+def _whole_tree(argv):
+    """The reference tree: all five subparsers, with the arguments of the
+    first word that is not an option, as an argv not led by its command
+    still gets it."""
+    command = next((word for word in argv if not word.startswith("-")), None)
+    parser = cli._Parser(prog="papperitz", description=DESCRIPTION)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_arguments, _) in cli._COMMANDS.items():
+        sp = sub.add_parser(name, help=help_line)
+        if name == command:
+            add_arguments(sp)
+    return parser
+
+
+def _answer(capsys, argv):
+    """Exit code, stdout and stderr of argv through cli.main."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+INTEGRATE_ARGS = ("--path", "2,0;3,1", "--y0", "1,0", "--dy0", "0,0")
+USAGE_CORPUS = [
+    [], ["-h"], ["--help"], ["--he"], ["-x"], ["--"],
+    ["bogus"], ["bogus", *EVAL_ABC], ["ev"], ["ev", *EVAL_ABC, "--z", "1,1"],
+    ["-h", "eval"], ["--bogus", "eval", *EVAL_ABC, "--z", "1,1"],
+    ["--", "eval", *EVAL_ABC, "--z", "1,1"], ["--help", "params"],
+    *([command, "-h"] for command in cli._COMMANDS),
+    ["eval", "--help"], ["eval", "--he"],
+    ["params", *EVAL_ABC], ["eval", *EVAL_ABC, "--z", "0.5,1.5"],
+    ["verify", "--a", "1,0", "--b", "0,0", "--c", "1,0", "--samples", "2"],
+    ["integrate", *EVAL_ABC, *INTEGRATE_ARGS], ["selftest", "--quick"],
+    ["params"], ["eval", "--a", "0,0"], ["integrate", *EVAL_ABC, "--y0", "1,0"],
+    ["params", *EVAL_ABC, "--bogus"], ["params", *EVAL_ABC, "extra"],
+    ["eval", *EVAL_ABC, "--z", "1,1", "params"], ["eval", "eval"],
+    ["eval", *EVAL_ABC, "--z", "1,1", "--format", "xml"],
+    ["eval", *EVAL_ABC, "--z=-0.5,1"], ["eval", *EVAL_ABC, "--", "--z", "1,1"],
+    ["params", *EVAL_ABC, "--js"], ["eval", *EVAL_ABC, "--po", "missing.csv"],
+    ["verify", *EVAL_ABC, "--samples", "x"], ["selftest", "--seed", "-1"],
+]
+
+
+def test_usage_help_and_errors_match_the_whole_tree(capsys, monkeypatch):
+    # every argv, led by its command or not, exits with the code and prints
+    # the bytes that the tree of all five subparsers gives
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv in USAGE_CORPUS:
+        answer = _answer(capsys, argv)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_build_parser", _whole_tree)
+            assert _answer(capsys, argv) == answer, argv
+
+
+@pytest.mark.parametrize("argv,parsers", [
+    (["params", *EVAL_ABC], 2), (["eval", *EVAL_ABC, "--z", "0.5,1.5"], 2),
+    (["integrate", *EVAL_ABC, *INTEGRATE_ARGS], 2), (["selftest", "-h"], 2),
+    (["eval", "--a", "0,0"], 2), (["-h", "eval"], 6), ([], 6),
+    (["--bogus", "eval", *EVAL_ABC, "--z", "1,1"], 6), (["ev"], 6)])
+def test_parsers_built_per_request(capsys, monkeypatch, argv, parsers):
+    # a request led by its command builds the top-level parser and its own
+    # subparser; any other argv builds all six
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    _answer(capsys, argv)
+    assert len(built) == parsers, built
+
+
+ZERO_ABC =("--a", "0,0", "--b", "0,0", "--c", "0,0")
 
 
 @pytest.mark.parametrize("out_format", ["csv", "json"])
