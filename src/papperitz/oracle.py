@@ -136,14 +136,25 @@ def integrate_ivp(p: EquationParams, path: PathSpec,
     short of overflow or a subnormal product; the sums drop sum()'s start
     and the b2 = b*2 = 0 terms, which leave a finite nonzero sum as it is
     (where a stage overflows they can turn the loop's infinities into NaN,
-    and the tests check that the same steps and messages follow); a real
-    times or plus a complex is written complex first (k*w, z*z + 1).
+    and the tests check that the same steps and messages follow).
+
+    CPython 3.11 turns a float met by a complex into complex(f, 0.0) before
+    it multiplies or adds, so b_k, b_k - b*_k, the 1 of z*z + 1 and the h of
+    y5, y'5 and the error are held complex: the same bits, signed zeros,
+    infinities and NaN too, without the promotion.  h*a_ij stays real: a
+    float product costs under half a complex one, more than the promotion
+    it spares its two uses.  The error norm and step factor are comparisons
+    with max()'s and min()'s rule, where a later item replaces the one kept
+    only when greater (for min(), smaller): a NaN ratio is dropped, and a
+    NaN factor would give 0.2.
     """
     c1, c2, c3, c4, c5, c6, _ = _DP_C
     ((), (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54),
      (a61, a62, a63, a64, a65)) = _DP_A
-    w1, _, w3, w4, w5, w6, _ = _DP_B5
-    e1, _, e3, e4, e5, e6, e7 = (b5 - b4 for b5, b4 in zip(_DP_B5, _DP_B4))
+    w1, _, w3, w4, w5, w6, _ = (complex(b5) for b5 in _DP_B5)
+    e1, _, e3, e4, e5, e6, e7 = (complex(b5 - b4)
+                                 for b5, b4 in zip(_DP_B5, _DP_B4))
+    one = 1 + 0j
     m2a, m4b, m4c = -(2 * p.a), -4 * p.b, -4 * p.c
     max_steps, abs_tol, rel_tol = ctrl.max_steps, ctrl.abs_tol, ctrl.rel_tol
     y, v = complex(y0), complex(dy0)
@@ -159,11 +170,12 @@ def integrate_ivp(p: EquationParams, path: PathSpec,
         h = min(seg_len, 0.1)
         # each stage: its point z, then k = u * (y', y'') there
         z = z0 + u * (s + c1 * h)
-        q = z * z + 1
+        q = z * z + one
         ky1 = u * v
         kv1 = u * ((m2a * z * q * v + (m4b + m4c * z) * y) / (q * q))
         while s < seg_len:
-            h = min(h, seg_len - s)
+            if seg_len - s < h:
+                h = seg_len - s
             if steps >= max_steps:
                 raise StepLimitExceeded(f"step budget {max_steps} "
                                         f"exhausted at z={z0 + s * u}")
@@ -172,7 +184,7 @@ def integrate_ivp(p: EquationParams, path: PathSpec,
             yi = y + ky1 * ha21
             vi = v + kv1 * ha21
             z = z0 + u * (s + c2 * h)
-            q = z * z + 1
+            q = z * z + one
             ky2 = u * vi
             kv2 = u * ((m2a * z * q * vi + (m4b + m4c * z) * yi) / (q * q))
             ha31 = h * a31
@@ -180,7 +192,7 @@ def integrate_ivp(p: EquationParams, path: PathSpec,
             yi = y + ky1 * ha31 + ky2 * ha32
             vi = v + kv1 * ha31 + kv2 * ha32
             z = z0 + u * (s + c3 * h)
-            q = z * z + 1
+            q = z * z + one
             ky3 = u * vi
             kv3 = u * ((m2a * z * q * vi + (m4b + m4c * z) * yi) / (q * q))
             ha41 = h * a41
@@ -189,7 +201,7 @@ def integrate_ivp(p: EquationParams, path: PathSpec,
             yi = y + ky1 * ha41 + ky2 * ha42 + ky3 * ha43
             vi = v + kv1 * ha41 + kv2 * ha42 + kv3 * ha43
             z = z0 + u * (s + c4 * h)
-            q = z * z + 1
+            q = z * z + one
             ky4 = u * vi
             kv4 = u * ((m2a * z * q * vi + (m4b + m4c * z) * yi) / (q * q))
             ha51 = h * a51
@@ -199,7 +211,7 @@ def integrate_ivp(p: EquationParams, path: PathSpec,
             yi = y + ky1 * ha51 + ky2 * ha52 + ky3 * ha53 + ky4 * ha54
             vi = v + kv1 * ha51 + kv2 * ha52 + kv3 * ha53 + kv4 * ha54
             z = z0 + u * (s + c5 * h)
-            q = z * z + 1
+            q = z * z + one
             ky5 = u * vi
             kv5 = u * ((m2a * z * q * vi + (m4b + m4c * z) * yi) / (q * q))
             ha61 = h * a61
@@ -210,28 +222,33 @@ def integrate_ivp(p: EquationParams, path: PathSpec,
             yi = y + ky1 * ha61 + ky2 * ha62 + ky3 * ha63 + ky4 * ha64 + ky5 * ha65
             vi = v + kv1 * ha61 + kv2 * ha62 + kv3 * ha63 + kv4 * ha64 + kv5 * ha65
             z = z0 + u * (s + c6 * h)
-            q = z * z + 1
+            q = z * z + one
             azq = m2a * z * q
             bcz = m4b + m4c * z
             qq = q * q
             ky6 = u * vi
             kv6 = u * ((azq * vi + bcz * yi) / qq)
-            y5 = y + (ky1 * w1 + ky3 * w3 + ky4 * w4 + ky5 * w5 + ky6 * w6) * h
-            v5 = v + (kv1 * w1 + kv3 * w3 + kv4 * w4 + kv5 * w5 + kv6 * w6) * h
+            hc = h + 0j
+            y5 = y + (ky1 * w1 + ky3 * w3 + ky4 * w4 + ky5 * w5 + ky6 * w6) * hc
+            v5 = v + (kv1 * w1 + kv3 * w3 + kv4 * w4 + kv5 * w5 + kv6 * w6) * hc
             ky7 = u * v5
             kv7 = u * ((azq * v5 + bcz * y5) / qq)
-            ey = (ky1 * e1 + ky3 * e3 + ky4 * e4 + ky5 * e5 + ky6 * e6 + ky7 * e7) * h
-            ev = (kv1 * e1 + kv3 * e3 + kv4 * e4 + kv5 * e5 + kv6 * e6 + kv7 * e7) * h
-            err = max(0.0,
-                      abs(ey.real) / (abs_tol + rel_tol * abs(y5.real)),
-                      abs(ey.imag) / (abs_tol + rel_tol * abs(y5.imag)),
-                      abs(ev.real) / (abs_tol + rel_tol * abs(v5.real)),
-                      abs(ev.imag) / (abs_tol + rel_tol * abs(v5.imag)))
+            ey = (ky1 * e1 + ky3 * e3 + ky4 * e4 + ky5 * e5 + ky6 * e6 + ky7 * e7) * hc
+            ev = (kv1 * e1 + kv3 * e3 + kv4 * e4 + kv5 * e5 + kv6 * e6 + kv7 * e7) * hc
+            r = abs(ey.real) / (abs_tol + rel_tol * abs(y5.real))
+            err = r if r > 0.0 else 0.0
+            r = abs(ey.imag) / (abs_tol + rel_tol * abs(y5.imag))
+            err = r if r > err else err
+            r = abs(ev.real) / (abs_tol + rel_tol * abs(v5.real))
+            err = r if r > err else err
+            r = abs(ev.imag) / (abs_tol + rel_tol * abs(v5.imag))
+            err = r if r > err else err
             if err <= 1.0:
                 s += h
                 y, v = y5, v5
                 ky1, kv1 = ky7, kv7
-            h *= 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
+            f = 5.0 if err == 0.0 else 0.9 * err ** -0.2
+            h *= f if 0.2 < f < 5.0 else 5.0 if f > 0.2 else 0.2
         out.append(_finite_sample(z1, y, v))
     return out
 

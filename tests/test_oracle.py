@@ -246,7 +246,9 @@ def _loop_integrate_ivp(p, path, y0, dy0, ctrl=IntegrationControl(), log=None):
     evaluated at the new solution y + h*sum(b*k for stages 1-6).  Its sum()
     adds in plain order, as on CPython 3.11; a sum() that compensates
     complex sums would round differently.  Each step appends (its segment,
-    whether it was accepted, its stage 1, its stage 7) to log, if given."""
+    whether it was accepted, its stage 1, its stage 7, its error estimate,
+    whether it was shortened to end on the segment's end) to log, if
+    given."""
     y, v = complex(y0), complex(dy0)
     out = [(path.waypoints[0], y, v)]
     steps = 0
@@ -259,6 +261,7 @@ def _loop_integrate_ivp(p, path, y0, dy0, ctrl=IntegrationControl(), log=None):
         s = 0.0
         h = min(seg_len, 0.1)
         while s < seg_len:
+            shortened = seg_len - s < h
             h = min(h, seg_len - s)
             if steps >= ctrl.max_steps:
                 raise StepLimitExceeded(f"step budget {ctrl.max_steps} "
@@ -283,7 +286,8 @@ def _loop_integrate_ivp(p, path, y0, dy0, ctrl=IntegrationControl(), log=None):
                 sc = ctrl.abs_tol + ctrl.rel_tol * abs(s_part)
                 err = max(err, abs(e_part) / sc)
             if log is not None:
-                log.append((seg, err <= 1.0, (ky[0], kv[0]), (ky[6], kv[6])))
+                log.append((seg, err <= 1.0, (ky[0], kv[0]), (ky[6], kv[6]),
+                            err, shortened))
             if err <= 1.0:
                 s += h
                 y, v = y5, v5
@@ -300,11 +304,26 @@ def _count_reuses(log):
     segment's first step has nothing to reuse.  Returns how many steps
     reused each."""
     reused = {"k7": 0, "k1": 0}
-    for (seg, accepted, k1, k7), (next_seg, _, next_k1, _) in zip(log, log[1:]):
+    for (seg, accepted, k1, k7, *_), (next_seg, _, next_k1, *_) in zip(log, log[1:]):
         if next_seg == seg:
             assert repr(next_k1) == repr(k7 if accepted else k1)
             reused["k7" if accepted else "k1"] += 1
     return reused
+
+
+def _count_branches(log):
+    """How many steps took each branch of the step control: an error
+    estimate of zero (factor 5), a factor clipped at 5, clipped at 0.2 or in
+    between, and a segment's last step shortened to end on its end."""
+    taken = Counter()
+    for *_, err, shortened in log:
+        if err == 0.0:
+            taken["zero"] += 1
+        else:
+            f = 0.9 * err ** -0.2
+            taken["5" if f >= 5.0 else "0.2" if f <= 0.2 else "between"] += 1
+        taken["shortened"] += shortened
+    return taken
 
 
 #: The benchmark's integrate_path polyline, length ~19.4, in Re z > 0.
@@ -329,7 +348,7 @@ def test_integrate_matches_loop_form_bit_for_bit(waypoints):
     # y'' = 0 from y = y' = -0: every stage is a zero whose signs follow u,
     # so they change at a segment's start
     cases.append((EquationParams(0, 0, 0), -0.0, complex(-0.0, -0.0)))
-    reused = Counter()
+    reused, taken = Counter(), Counter()
     for p, y0, dy0 in cases:
         for ctrl in BIT_IDENTITY_CONTROLS:
             got = integrate_ivp(p, path, y0, dy0, ctrl)
@@ -338,7 +357,26 @@ def test_integrate_matches_loop_form_bit_for_bit(waypoints):
             assert got == want
             assert repr(got) == repr(want)  # signed zeros too
             reused.update(_count_reuses(log))
+            taken.update(_count_branches(log))
     assert reused["k7"] > 0 and reused["k1"] > 0
+    for branch in ("zero", "5", "0.2", "between", "shortened"):
+        assert taken[branch] > 0, branch
+
+
+def test_a_float_meets_a_complex_as_complex_f_0():
+    # integrate_ivp keeps the loop form's bits with its weights, the 1 of
+    # z*z + 1 and h held complex only while a float or int met by a complex
+    # turns into complex(f, 0.0) first, as on CPython 3.11.  CPython 3.14
+    # computes complex*float and complex+float part by part (gh-69639),
+    # which differs at signed zeros, infinities and NaN: this test fails
+    # there and names the assumption.
+    values = (0.0, -0.0, math.inf, -math.inf, math.nan, 1.5, -0.3)
+    for x in values:
+        for y in values:
+            w = complex(x, y)
+            for k in values:
+                assert repr(w * k) == repr(w * complex(k)), (w, k)
+            assert repr(w + 1) == repr(w + (1 + 0j)), w
 
 
 def test_integrator_keeps_its_digits_along_the_benchmark_path():
