@@ -17,7 +17,6 @@ from typing import List, Optional
 
 from .errors import (DegenerateBasis, NonFinitePath, PapperitzError,
                      PathTooCloseToSingularity, PointError)
-from .oracle import PathSpec, integrate_ivp, residual_z
 from .params import DegeneracyClass, EquationParams, derive_params
 
 EXIT_OK = 0
@@ -220,11 +219,12 @@ def cmd_eval(args) -> int:
     c2 = parse_complex(args.c2)
     d = derive_params(p)
     points = _eval_points(args)
-    # numpy and the array modules load on first use, so that the commands
-    # and usage errors that need none of them start without them
+    # numpy, the array modules and the oracle load on first use, so that
+    # the commands and usage errors that need none of them start without them
     import numpy as np
 
     from .closed_form import solution_jets
+    from .oracle import residual_z
     z = np.array(points)
     # an overflow shows as a row that is not finite, reported below
     with np.errstate(all="ignore"):
@@ -292,6 +292,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_integrate(args) -> int:
+    from .oracle import PathSpec, integrate_ivp
     p = _equation(args)
     waypoints = parse_path(args.path)
     try:
@@ -332,29 +333,49 @@ _COMMANDS = {
 
 
 def _build_parser(argv: List[str]) -> _Parser:
-    """The parser of argv.  A request led by its command gets that
-    subcommand's parser alone: building all five costs more than a
-    one-point evaluation.  Any other argv gets all five, so that its help
-    and usage errors name every command, with the arguments of the first
-    word that is not an option only: the top-level parser takes no option
-    values, so that word is the subcommand."""
+    """The tree of all five subparsers, for an argv not led by its command,
+    so that its help and usage errors name every command.  Only the first
+    word that is not an option gets its arguments: the top-level parser
+    takes no option values, so that word is the subcommand."""
     command = next((word for word in argv if not word.startswith("-")), None)
-    alone = bool(argv) and argv[0] in _COMMANDS
     parser = _Parser(prog="papperitz",
                      description="Closed-form solutions of "
                                  "(1+z^2)^2 y'' + 2az(1+z^2) y' + 4(b+cz) y = 0")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_line, add_arguments, _) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_line)
         if name == command:
-            add_arguments(sub.add_parser(name, help=help_line))
-        elif not alone:
-            sub.add_parser(name, help=help_line)
+            add_arguments(sp)
     return parser
 
 
+def _parse_args(argv: List[str]) -> argparse.Namespace:
+    """argv parsed as the tree of _build_parser parses it.  A request led by
+    its command is parsed by that command's parser alone: the tree hands
+    that subparser every word after the command, and building the tree
+    costs more than a one-point evaluation.  The one error the tree's
+    top-level parser adds, for words the subparser leaves over, is reported
+    in its words."""
+    if not argv or argv[0] not in _COMMANDS:
+        return _build_parser(argv).parse_args(argv)
+    command = argv[0]
+    parser = _Parser(prog=f"papperitz {command}")
+    _COMMANDS[command][1](parser)
+    args, extras = parser.parse_known_args(argv[1:])
+    if extras:
+        from gettext import gettext
+        message = gettext("unrecognized arguments: %s") % " ".join(extras)
+        parser.exit(EXIT_USAGE, f"papperitz: error: {message}\n")
+    args.command = command
+    return args
+
+
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run the command of argv (sys.argv[1:] by default) and return its exit
+    code; argparse exits by SystemExit on a usage error or help.  No object
+    is carried from one call to the next."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _build_parser(argv).parse_args(argv)
+    args = _parse_args(argv)
     _, _, handler = _COMMANDS[args.command]
     try:
         return handler(args)

@@ -547,11 +547,12 @@ def test_eval_no_convergence_exit_3(capsys, monkeypatch):
 def test_integrate_step_limit_exit_3(capsys, monkeypatch):
     import functools
 
-    from papperitz.oracle import IntegrationControl
+    from papperitz import oracle
 
-    tiny = IntegrationControl(max_steps=3)
-    monkeypatch.setattr(cli, "integrate_ivp",
-                        functools.partial(cli.integrate_ivp, ctrl=tiny))
+    tiny = oracle.IntegrationControl(max_steps=3)
+    # cmd_integrate imports integrate_ivp from the oracle when it runs
+    monkeypatch.setattr(oracle, "integrate_ivp",
+                        functools.partial(oracle.integrate_ivp, ctrl=tiny))
     code, out, err = run_cli(capsys, "integrate", *EVAL_ABC, "--path", "0,0;2,0",
                              "--y0", "1,0", "--dy0", "0,0")
     assert code == 3 and out == ""
@@ -798,28 +799,39 @@ USAGE_CORPUS = [
     ["eval", *EVAL_ABC, "--z=-0.5,1"], ["eval", *EVAL_ABC, "--", "--z", "1,1"],
     ["params", *EVAL_ABC, "--js"], ["eval", *EVAL_ABC, "--po", "missing.csv"],
     ["verify", *EVAL_ABC, "--samples", "x"], ["selftest", "--seed", "-1"],
+    # words left over after an option value, which the top-level parser
+    # reports, and the option forms a subparser alone must read as the tree
+    ["eval", *EVAL_ABC, "--z", "1,1", "extra", "--bogus"],
+    ["eval", *EVAL_ABC, "--z", "1,1", "--form", "json"],
+    ["eval", *EVAL_ABC, "--z", "1,1", "-h"], ["params", *EVAL_ABC, "--help"],
+    ["eval", *EVAL_ABC, "--z="], ["eval", *EVAL_ABC, "--z=1,1", "--format=json"],
+    ["eval", *EVAL_ABC, "--z", "1,1", "--"],
+    ["eval", *EVAL_ABC, "--z", "1,1", "--", "extra"], ["eval", "--", *EVAL_ABC],
+    ["eval", *EVAL_ABC, "--z", "1,1", "--z", "0.5,1.5"],
 ]
 
 
 def test_usage_help_and_errors_match_the_whole_tree(capsys, monkeypatch):
     # every argv, led by its command or not, exits with the code and prints
-    # the bytes that the tree of all five subparsers gives
+    # the bytes that the tree of all five subparsers gives: the reference
+    # parses each argv with the tree, whatever cli._parse_args would build
     monkeypatch.setenv("COLUMNS", "80")
     for argv in USAGE_CORPUS:
         answer = _answer(capsys, argv)
         with monkeypatch.context() as m:
-            m.setattr(cli, "_build_parser", _whole_tree)
+            m.setattr(cli, "_parse_args",
+                      lambda argv: _whole_tree(argv).parse_args(argv))
             assert _answer(capsys, argv) == answer, argv
 
 
 @pytest.mark.parametrize("argv,parsers", [
-    (["params", *EVAL_ABC], 2), (["eval", *EVAL_ABC, "--z", "0.5,1.5"], 2),
-    (["integrate", *EVAL_ABC, *INTEGRATE_ARGS], 2), (["selftest", "-h"], 2),
-    (["eval", "--a", "0,0"], 2), (["-h", "eval"], 6), ([], 6),
+    (["params", *EVAL_ABC], 1), (["eval", *EVAL_ABC, "--z", "0.5,1.5"], 1),
+    (["integrate", *EVAL_ABC, *INTEGRATE_ARGS], 1), (["selftest", "-h"], 1),
+    (["eval", "--a", "0,0"], 1), (["-h", "eval"], 6), ([], 6),
     (["--bogus", "eval", *EVAL_ABC, "--z", "1,1"], 6), (["ev"], 6)])
 def test_parsers_built_per_request(capsys, monkeypatch, argv, parsers):
-    # a request led by its command builds the top-level parser and its own
-    # subparser; any other argv builds all six
+    # a request led by its command builds that command's parser alone; any
+    # other argv builds all six
     built = []
     init = cli._Parser.__init__
 
@@ -830,6 +842,61 @@ def test_parsers_built_per_request(capsys, monkeypatch, argv, parsers):
     monkeypatch.setattr(cli._Parser, "__init__", counting_init)
     _answer(capsys, argv)
     assert len(built) == parsers, built
+
+
+def test_one_process_answers_as_fresh_processes(tmp_path):
+    # no object is carried from one request to the next: each answer of a
+    # mixed sequence sent through one process's cli.main is the exit code,
+    # stdout and stderr of the same argv in a fresh process
+    sequence = [
+        ["eval", *EVAL_ABC, "--z", "0.5,1.5", "--z", "-1,2"],
+        ["eval", *EVAL_ABC, "--z", "0.2,0.9"],
+        ["eval", *EVAL_ABC, "--points", _points_file(tmp_path, ["0,2", "1,1"])],
+        ["integrate", *EVAL_ABC, *INTEGRATE_ARGS],
+        ["params", *EVAL_ABC, "--json"],
+        ["eval", *EVAL_ABC, "--z", "1,1", "extra"],
+        ["eval", *EVAL_ABC, "--z", "1,1", "--format", "xml"],
+        ["eval", *EVAL_ABC, "--z", "1,1"],
+    ]
+    script = ("import contextlib, io, json\nfrom papperitz import cli\n"
+              "answers = []\n"
+              f"for argv in {sequence!r}:\n"
+              "    out, err = io.StringIO(), io.StringIO()\n"
+              "    with contextlib.redirect_stdout(out), "
+              "contextlib.redirect_stderr(err):\n"
+              "        try:\n"
+              "            code = cli.main(argv)\n"
+              "        except SystemExit as exc:\n"
+              "            code = exc.code\n"
+              "    answers.append([code, out.getvalue(), err.getvalue()])\n"
+              "print(json.dumps(answers))\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, COLUMNS="80")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    answers = json.loads(done.stdout)
+    assert len(answers) == len(sequence)
+    for argv, answer in zip(sequence, answers):
+        fresh = subprocess.run([sys.executable, "-m", "papperitz", *argv],
+                               capture_output=True, env=env)
+        assert answer == [fresh.returncode, fresh.stdout.decode(),
+                          fresh.stderr.decode()], argv
+    assert [code for code, _, _ in answers] == [0, 0, 0, 0, 0, 1, 1, 0]
+
+
+def test_import_leaves_oracle_unloaded():
+    # the oracle loads with the first eval, verify or integrate request
+    script = ("import contextlib, io, sys\nfrom papperitz import cli\n"
+              "print('papperitz.oracle' in sys.modules)\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              f"    cli.main({['params', *EVAL_ABC]!r})\n"
+              "print('papperitz.oracle' in sys.modules)\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["False", "False"]
 
 
 ZERO_ABC =("--a", "0,0", "--b", "0,0", "--c", "0,0")
