@@ -1,10 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 usage/parse error (including a negative --seed
-or --samples, or a --tol that is negative or not finite), 2 degenerate
-parameters, 3 unreachable/excluded evaluation point or path, a path
-waypoint beyond |z| = 1e77, a series or an integration that
-exhausts its term or step budget (a polynomial of degree 10^4 or more
+or --samples, a --samples above 100000, or a --tol that is negative or not
+finite), 2 degenerate parameters, 3 unreachable/excluded evaluation point
+or path, a path waypoint beyond |z| = 1e77, a series or an integration
+that exhausts its term or step budget (a polynomial of degree 10^4 or more
 included), or a value that overflows to an infinity or NaN (derived
 parameters included), 4 verification failure.  A library error ends the
 command with the exit code its class in papperitz.errors declares.
@@ -24,6 +24,9 @@ EXIT_USAGE = 1
 EXIT_DEGENERATE = 2
 EXIT_UNREACHABLE = 3
 EXIT_VERIFY_FAILED = 4
+
+#: verify's time and memory grow with its residual samples
+MAX_SAMPLES = 100_000
 
 CSV_HEADER = ["z_re", "z_im", "y_re", "y_im", "dy_re", "dy_im", "residual_abs"]
 
@@ -263,6 +266,9 @@ def _check_seed(seed: int):
 def cmd_verify(args) -> int:
     if args.samples < 0:
         raise UsageError(f"--samples must be nonnegative, got {args.samples}")
+    if args.samples > MAX_SAMPLES:
+        raise UsageError(f"--samples must be at most {MAX_SAMPLES}, "
+                         f"got {args.samples}")
     if not (math.isfinite(args.tol) and args.tol >= 0):
         raise UsageError(f"--tol must be a finite number >= 0, got {args.tol}")
     _check_seed(args.seed)
@@ -332,48 +338,39 @@ _COMMANDS = {
 }
 
 
-def _build_parser(argv: List[str]) -> _Parser:
-    """The tree of all five subparsers, for an argv not led by its command,
-    so that its help and usage errors name every command.  Only the first
-    word that is not an option gets its arguments: the top-level parser
-    takes no option values, so that word is the subcommand."""
-    command = next((word for word in argv if not word.startswith("-")), None)
+def _build_parser() -> _Parser:
+    """The tree of all five subparsers, each with its arguments."""
     parser = _Parser(prog="papperitz",
                      description="Closed-form solutions of "
                                  "(1+z^2)^2 y'' + 2az(1+z^2) y' + 4(b+cz) y = 0")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_line, add_arguments, _) in _COMMANDS.items():
-        sp = sub.add_parser(name, help=help_line)
-        if name == command:
-            add_arguments(sp)
+        add_arguments(sub.add_parser(name, help=help_line))
     return parser
 
 
 def _parse_args(argv: List[str]) -> argparse.Namespace:
     """argv parsed as the tree of _build_parser parses it.  A request led by
-    its command is parsed by that command's parser alone: the tree hands
-    that subparser every word after the command, and building the tree
-    costs more than a one-point evaluation.  The one error the tree's
-    top-level parser adds, for words the subparser leaves over, is reported
-    in its words."""
-    if not argv or argv[0] not in _COMMANDS:
-        return _build_parser(argv).parse_args(argv)
-    command = argv[0]
-    parser = _Parser(prog=f"papperitz {command}")
-    _COMMANDS[command][1](parser)
-    args, extras = parser.parse_known_args(argv[1:])
-    if extras:
-        from gettext import gettext
-        message = gettext("unrecognized arguments: %s") % " ".join(extras)
-        parser.exit(EXIT_USAGE, f"papperitz: error: {message}\n")
-    args.command = command
-    return args
+    its command is parsed by that command's parser alone, since the tree
+    hands that subparser every word after the command and building the tree
+    costs more than a one-point evaluation.  If that parser leaves words
+    over, or argv is not led by a command, the tree parses argv and argparse
+    reports the error."""
+    if argv and argv[0] in _COMMANDS:
+        parser = _Parser(prog=f"papperitz {argv[0]}")
+        _COMMANDS[argv[0]][1](parser)
+        args, extras = parser.parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return _build_parser().parse_args(argv)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     """Run the command of argv (sys.argv[1:] by default) and return its exit
-    code; argparse exits by SystemExit on a usage error or help.  No object
-    is carried from one call to the next."""
+    code; argparse exits by SystemExit on a usage error or help.  Each call
+    builds its own parsers (_parse_args), so no object is carried from one
+    call to the next."""
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _parse_args(argv)
     _, _, handler = _COMMANDS[args.command]

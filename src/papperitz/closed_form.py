@@ -42,15 +42,11 @@ def basis_hyp_params(d: DerivedParams, which: BasisMember) -> HypParams:
         raise DegenerateBasis(f"second basis member invalid: {exc}") from exc
 
 
-def basis_exponent(d: DerivedParams, which: BasisMember) -> complex:
-    return d.lam if which is BasisMember.FIRST else d.lam2
-
-
 def _member_t_jets(d: DerivedParams, which: BasisMember, t: np.ndarray):
     """t-jets of t^e * F(params; t) for one basis member at every t, as a
     (3, n) array, and the fault of the first point that fails."""
     hp = basis_hyp_params(d, which)
-    e = basis_exponent(d, which)
+    e = d.lam if which is BasisMember.FIRST else d.lam2
     f, fault = gauss_2f1_jets(hp, t)
     if e == 0 or (fault is not None and fault[0] == 0):
         return f, fault

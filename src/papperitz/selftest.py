@@ -30,8 +30,8 @@ from .params import (
 DEFAULT_PATH = (2j, 1 + 2j, 2 + 2j)
 
 
-def _rand_complex(rng, lo=-2.0, hi=2.0) -> complex:
-    return complex(rng.uniform(lo, hi), rng.uniform(lo, hi))
+def _rand_complex(rng) -> complex:
+    return complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
 
 
 def random_equation(rng) -> EquationParams:

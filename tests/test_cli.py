@@ -574,6 +574,16 @@ def test_verify_negative_samples_exit_1(capsys):
     assert "--samples" in err
 
 
+def test_verify_samples_above_bound_exit_1(capsys):
+    # refused before any work: the samples' time and memory have no other
+    # bound (one past the bound runs for seconds if it is not refused)
+    code, out, err = run_cli(capsys, "verify", "--a", "1,0", "--b", "0,0",
+                             "--c", "1,0", "--samples", "100001")
+    assert code == 1 and out == ""
+    assert err == ("papperitz: error: --samples must be at most 100000, "
+                   "got 100001\n")
+
+
 def test_selftest_default_seed_passes(capsys):
     # seed 0 is the default; its Pfaff check once drew |t/(t-1)| = 0.994
     code, out, _ = run_cli(capsys, "selftest", "--seed", "0")
@@ -754,20 +764,15 @@ def test_subcommand_help_lists_its_options(capsys, command, option):
     assert option in capsys.readouterr().out
 
 
-DESCRIPTION = cli._build_parser([]).description
+DESCRIPTION = cli._build_parser().description
 
 
-def _whole_tree(argv):
-    """The reference tree: all five subparsers, with the arguments of the
-    first word that is not an option, as an argv not led by its command
-    still gets it."""
-    command = next((word for word in argv if not word.startswith("-")), None)
+def _whole_tree():
+    """The reference tree: all five subparsers, each with its arguments."""
     parser = cli._Parser(prog="papperitz", description=DESCRIPTION)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_line, add_arguments, _) in cli._COMMANDS.items():
-        sp = sub.add_parser(name, help=help_line)
-        if name == command:
-            add_arguments(sp)
+        add_arguments(sub.add_parser(name, help=help_line))
     return parser
 
 
@@ -808,30 +813,46 @@ USAGE_CORPUS = [
     ["eval", *EVAL_ABC, "--z", "1,1", "--"],
     ["eval", *EVAL_ABC, "--z", "1,1", "--", "extra"], ["eval", "--", *EVAL_ABC],
     ["eval", *EVAL_ABC, "--z", "1,1", "--z", "0.5,1.5"],
+    # words left over after each command, which its parser hands to the tree
+    ["params", *EVAL_ABC, "--json", "extra", "--bogus"],
+    ["verify", "--a", "1,0", "--b", "0,0", "--c", "1,0", "extra"],
+    ["verify", "--a", "1,0", "extra", "--samples", "x"],
+    ["integrate", *EVAL_ABC, *INTEGRATE_ARGS, "extra"],
+    ["integrate", *EVAL_ABC, "extra", "--y0", "1,0"],
+    ["selftest", "--quick", "extra"], ["selftest", "x", "--", "y"],
+    ["selftest", "--quick", "extra", "-h"],
 ]
 
 
 def test_usage_help_and_errors_match_the_whole_tree(capsys, monkeypatch):
     # every argv, led by its command or not, exits with the code and prints
-    # the bytes that the tree of all five subparsers gives: the reference
-    # parses each argv with the tree, whatever cli._parse_args would build
-    monkeypatch.setenv("COLUMNS", "80")
-    for argv in USAGE_CORPUS:
-        answer = _answer(capsys, argv)
-        with monkeypatch.context() as m:
-            m.setattr(cli, "_parse_args",
-                      lambda argv: _whole_tree(argv).parse_args(argv))
-            assert _answer(capsys, argv) == answer, argv
+    # the bytes that the tree of all five subparsers gives, at every
+    # terminal width: the reference parses each argv with the tree, whatever
+    # cli._parse_args would build
+    for columns in (None, "40", "80", "200"):
+        if columns is None:
+            monkeypatch.delenv("COLUMNS", raising=False)
+        else:
+            monkeypatch.setenv("COLUMNS", columns)
+        for argv in USAGE_CORPUS:
+            answer = _answer(capsys, argv)
+            with monkeypatch.context() as m:
+                m.setattr(cli, "_parse_args",
+                          lambda argv: _whole_tree().parse_args(argv))
+                assert _answer(capsys, argv) == answer, (columns, argv)
 
 
 @pytest.mark.parametrize("argv,parsers", [
     (["params", *EVAL_ABC], 1), (["eval", *EVAL_ABC, "--z", "0.5,1.5"], 1),
     (["integrate", *EVAL_ABC, *INTEGRATE_ARGS], 1), (["selftest", "-h"], 1),
     (["eval", "--a", "0,0"], 1), (["-h", "eval"], 6), ([], 6),
-    (["--bogus", "eval", *EVAL_ABC, "--z", "1,1"], 6), (["ev"], 6)])
+    (["--bogus", "eval", *EVAL_ABC, "--z", "1,1"], 6), (["ev"], 6),
+    (["eval", *EVAL_ABC, "--z", "1,1", "extra"], 7),
+    (["selftest", "--quick", "x"], 7)])
 def test_parsers_built_per_request(capsys, monkeypatch, argv, parsers):
-    # a request led by its command builds that command's parser alone; any
-    # other argv builds all six
+    # a request led by its command builds that command's parser alone, and
+    # the tree's six as well if that parser leaves words over; any other
+    # argv builds the tree's six
     built = []
     init = cli._Parser.__init__
 
@@ -857,6 +878,8 @@ def test_one_process_answers_as_fresh_processes(tmp_path):
         ["eval", *EVAL_ABC, "--z", "1,1", "extra"],
         ["eval", *EVAL_ABC, "--z", "1,1", "--format", "xml"],
         ["eval", *EVAL_ABC, "--z", "1,1"],
+        ["integrate", *EVAL_ABC, *INTEGRATE_ARGS, "--out", "json", "extra"],
+        ["integrate", *EVAL_ABC, *INTEGRATE_ARGS, "--out", "json"],
     ]
     script = ("import contextlib, io, json\nfrom papperitz import cli\n"
               "answers = []\n"
@@ -882,7 +905,7 @@ def test_one_process_answers_as_fresh_processes(tmp_path):
                                capture_output=True, env=env)
         assert answer == [fresh.returncode, fresh.stdout.decode(),
                           fresh.stderr.decode()], argv
-    assert [code for code, _, _ in answers] == [0, 0, 0, 0, 0, 1, 1, 0]
+    assert [code for code, _, _ in answers] == [0, 0, 0, 0, 0, 1, 1, 0, 1, 0]
 
 
 def test_import_leaves_oracle_unloaded():
