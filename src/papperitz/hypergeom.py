@@ -281,9 +281,7 @@ def select_strategy(p: HypParams, t: complex) -> EvalStrategy:
 
 def _region_error(t: complex) -> Exception:
     if not _on_cut(t):
-        return EvaluationUnreachable(t, abs(t),
-                                     abs(t / (t - 1)) if t != 1 else float("inf"),
-                                     abs(1 - t))
+        return EvaluationUnreachable(t, abs(t), abs(t / (t - 1)), abs(1 - t))
     where = "on" if t.imag == 0 and t.real >= 1 else f"within {BRANCH_CUT_TOL:g} of"
     return OnBranchCut(f"t={t} lies {where} the branch cut [1, inf)")
 

@@ -5,9 +5,9 @@ to t = 0, infinity and the upper half plane onto the open unit disk.  All
 complex powers in this package go through :func:`principal_power`, which
 uses the principal logarithm (argument in (-pi, pi]).
 
-Both functions take a number or a 1-D array of points, and one numpy
-implementation serves both, so a point gives the same bits alone or inside
-an array.
+Both functions take a number or a 1-D array of points and return arrays,
+and one numpy implementation serves both, so a point gives the same bits
+alone or inside an array.
 """
 
 import numpy as np
@@ -24,11 +24,6 @@ all_of = np.logical_and.reduce
 
 def _points(x) -> np.ndarray:
     return np.asarray(x, dtype=complex).reshape(-1)
-
-
-def _like(result: np.ndarray, x):
-    """result as a Python complex when x was a number."""
-    return complex(result[0]) if np.ndim(x) == 0 else result
 
 
 def forward_jets(z):
@@ -60,7 +55,7 @@ def forward_jets(z):
 
 
 def principal_power(w, e: complex):
-    """w**e on the principal branch, exp(e * Log w).
+    """w**e on the principal branch, exp(e * Log w), as a 1-D array.
 
     0**e is 0 when Re e > 0 and an error otherwise.
     """
@@ -69,10 +64,10 @@ def principal_power(w, e: complex):
     e = complex(e)
     zero = ws == 0
     if not any_of(zero):
-        return _like(np.exp(e * np.log(ws)), w)
+        return np.exp(e * np.log(ws))
     if not e.real > 0:
         raise ZeroBaseNonpositiveExponent(f"0**({e}) is undefined")
     ws[zero] = 1.0
     out = np.exp(e * np.log(ws))
     out[zero] = 0.0
-    return _like(out, w)
+    return out

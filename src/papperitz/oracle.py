@@ -26,6 +26,12 @@ MIN_SINGULARITY_DISTANCE = 0.1
 #: a float, since (1 + z^2)^2 in y'' overflows once |z| passes ~1.16e77.
 MAX_WAYPOINT_MODULUS = 1e77
 
+#: Step control of integrate_ivp, read at each call: the per-step tolerances
+#: of each real part of y and y', and the budget of steps, rejected ones too.
+STEP_REL_TOL = 1e-10
+STEP_ABS_TOL = 1e-12
+MAX_STEPS = 10 ** 6
+
 
 def _segment_distance(z0: complex, z1: complex, w: complex) -> float:
     """Distance from point w to the segment [z0, z1]; no square is formed."""
@@ -67,18 +73,6 @@ class PathSpec(NamedTuple("PathSpec", [("waypoints", Tuple[complex, ...])])):
         return super().__new__(cls, waypoints)
 
 
-class IntegrationControl(NamedTuple("IntegrationControl", [
-        ("rel_tol", float), ("abs_tol", float), ("max_steps", int)])):
-    __slots__ = ()
-
-    def __new__(cls, rel_tol=1e-10, abs_tol=1e-12, max_steps=10 ** 6):
-        if not (rel_tol > 0 and abs_tol > 0):
-            raise ValueError("tolerances must be positive")
-        if max_steps < 1:
-            raise ValueError("max_steps must be at least 1")
-        return super().__new__(cls, rel_tol, abs_tol, max_steps)
-
-
 def residual_z(p: EquationParams, jet: Jet2, z: complex) -> complex:
     """(1+z^2)^2 y'' + 2az(1+z^2) y' + 4(b+cz) y for a z-jet."""
     q = 1 + z * z
@@ -115,13 +109,12 @@ def _finite_sample(z: complex, y: complex, v: complex):
     return z, y, v
 
 
-def integrate_ivp(p: EquationParams, path: PathSpec,
-                  y0: complex, dy0: complex,
-                  ctrl: IntegrationControl = IntegrationControl()
-                  ) -> List[Tuple[complex, complex, complex]]:
+def integrate_ivp(p: EquationParams, path: PathSpec, y0: complex,
+                  dy0: complex) -> List[Tuple[complex, complex, complex]]:
     """Integrate y'' from the ODE along the polyline; returns (z, y, y')
     at every waypoint, the start included.  Raises NonFiniteSolution when
-    y or y' is not finite at a waypoint.
+    y or y' is not finite at a waypoint.  The step control is the module
+    constants STEP_REL_TOL, STEP_ABS_TOL and MAX_STEPS, read at each call.
 
     Steps are DOPRI5's, first same as last (Hairer, Norsett & Wanner,
     Solving ODEs I, II.5): an accepted step's stage 7, evaluated at its y5,
@@ -156,7 +149,7 @@ def integrate_ivp(p: EquationParams, path: PathSpec,
                                  for b5, b4 in zip(_DP_B5, _DP_B4))
     one = 1 + 0j
     m2a, m4b, m4c = -(2 * p.a), -4 * p.b, -4 * p.c
-    max_steps, abs_tol, rel_tol = ctrl.max_steps, ctrl.abs_tol, ctrl.rel_tol
+    max_steps, abs_tol, rel_tol = MAX_STEPS, STEP_ABS_TOL, STEP_REL_TOL
     y, v = complex(y0), complex(dy0)
     out = [_finite_sample(path.waypoints[0], y, v)]
     steps = 0

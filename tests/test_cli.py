@@ -545,14 +545,9 @@ def test_eval_no_convergence_exit_3(capsys, monkeypatch):
 
 
 def test_integrate_step_limit_exit_3(capsys, monkeypatch):
-    import functools
-
     from papperitz import oracle
 
-    tiny = oracle.IntegrationControl(max_steps=3)
-    # cmd_integrate imports integrate_ivp from the oracle when it runs
-    monkeypatch.setattr(oracle, "integrate_ivp",
-                        functools.partial(oracle.integrate_ivp, ctrl=tiny))
+    monkeypatch.setattr(oracle, "MAX_STEPS", 3)
     code, out, err = run_cli(capsys, "integrate", *EVAL_ABC, "--path", "0,0;2,0",
                              "--y0", "1,0", "--dy0", "0,0")
     assert code == 3 and out == ""

@@ -259,6 +259,17 @@ def test_fit_ivp_round_trip():
         assert abs(g2 - c2) <= 1e-10 * scale
 
 
+def test_fit_ivp_dependent_pair_below_threshold():
+    # a Generic set whose members agree to ~1e-10: |delta| = 2e-10 lies above
+    # DEGENERACY_TOL, and |W(z0)| reads ~6e-17 of its scale at z0 = 2i.  The
+    # digits of |W| are round-off there, so only the message's end is fixed.
+    d = derive_params(EquationParams(-9, -25, 1e-20))
+    assert d.degeneracy is DegeneracyClass.GENERIC
+    with pytest.raises(DegenerateWronskian,
+                       match=r" below independence threshold at z0=2j$"):
+        fit_ivp(d, 2j, 1, 0)
+
+
 def test_fit_ivp_constant_solution():
     p = EquationParams(0.5, 0, 0)
     d = derive_params(p)

@@ -152,3 +152,6 @@ def test_map_functions_take_arrays():
         assert got[part].tolist() == [forward_jets(complex(x))[part][0] for x in z]
     fault = forward_jets(np.array([1j, -1j]))[3]
     assert fault[0] == 1 and isinstance(fault[1], PoleAtMinusI)
+    # a number gives an array of one point, as forward_jets does
+    one = principal_power(2, 0.5)
+    assert isinstance(one, np.ndarray) and one.shape == (1,)

@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from papperitz import oracle
 from papperitz.closed_form import (
     BasisMember,
     _member_t_jets,
@@ -25,7 +26,6 @@ from papperitz.oracle import (
     _DP_B4,
     _DP_B5,
     _DP_C,
-    IntegrationControl,
     PathSpec,
     _finite_sample,
     integrate_ivp,
@@ -104,13 +104,6 @@ def test_path_validation():
         PathSpec([-2 + 1j, 2 + 1j])
 
 
-def test_integration_control_validation():
-    with pytest.raises(ValueError):
-        IntegrationControl(rel_tol=0)
-    with pytest.raises(ValueError):
-        IntegrationControl(max_steps=0)
-
-
 def test_integrate_trivial_dynamics():
     p = EquationParams(0, 0, 0)  # y'' = 0 along any path
     path = PathSpec([0, 2.0])
@@ -122,49 +115,55 @@ def test_integrate_trivial_dynamics():
     assert abs(out[-1][1] - 2.0) < 1e-10
 
 
-def test_integrate_step_limit():
+def test_integrate_step_limit(monkeypatch):
     p = EquationParams(0, 1, 0)
+    monkeypatch.setattr(oracle, "MAX_STEPS", 3)
     with pytest.raises(StepLimitExceeded):
-        integrate_ivp(p, PathSpec([0, 1.0]), 1.0, 0.0,
-                      IntegrationControl(max_steps=3))
+        integrate_ivp(p, PathSpec([0, 1.0]), 1.0, 0.0)
 
 
-def test_integrate_self_convergence_single():
+def test_integrate_self_convergence_single(monkeypatch):
     p = EquationParams(0, 1, 0)
     path = PathSpec([0, 1.0])
-    a = integrate_ivp(p, path, 1.0, 0.5, IntegrationControl(rel_tol=1e-9))[-1]
-    b = integrate_ivp(p, path, 1.0, 0.5, IntegrationControl(rel_tol=5e-10))[-1]
+    monkeypatch.setattr(oracle, "STEP_REL_TOL", 1e-9)
+    a = integrate_ivp(p, path, 1.0, 0.5)[-1]
+    monkeypatch.setattr(oracle, "STEP_REL_TOL", 5e-10)
+    b = integrate_ivp(p, path, 1.0, 0.5)[-1]
     assert abs(a[1] - b[1]) <= 1e-9 * max(abs(a[1]), 1.0)
 
 
-def test_integrate_tolerance_ladder():
-    # tightening rel_tol never worsens the endpoint error against a
-    # tight-tolerance reference
+def _set_tolerances(monkeypatch, rel_tol, abs_tol):
+    monkeypatch.setattr(oracle, "STEP_REL_TOL", rel_tol)
+    monkeypatch.setattr(oracle, "STEP_ABS_TOL", abs_tol)
+
+
+def test_integrate_tolerance_ladder(monkeypatch):
+    # tightening the relative tolerance never worsens the endpoint error
+    # against a tight-tolerance reference
     rng = np.random.default_rng(32)
     path = PathSpec([2j, 1 + 2j])
     for _ in range(10):
         p, d = random_generic_equation(rng)
-        ref = integrate_ivp(p, path, 1.0, 0.2,
-                            IntegrationControl(rel_tol=1e-13, abs_tol=1e-14))[-1][1]
+        _set_tolerances(monkeypatch, 1e-13, 1e-14)
+        ref = integrate_ivp(p, path, 1.0, 0.2)[-1][1]
         errs = []
         for tol in (1e-5, 1e-7, 1e-9, 1e-11):
-            end = integrate_ivp(p, path, 1.0, 0.2,
-                                IntegrationControl(rel_tol=tol,
-                                                   abs_tol=tol * 1e-2))[-1][1]
+            _set_tolerances(monkeypatch, tol, tol * 1e-2)
+            end = integrate_ivp(p, path, 1.0, 0.2)[-1][1]
             errs.append(abs(end - ref))
         for worse, better in zip(errs, errs[1:]):
             assert better <= worse + 1e-14 * max(abs(ref), 1.0)
 
 
-def test_path_independence():
+def test_path_independence(monkeypatch):
     rng = np.random.default_rng(33)
     direct = PathSpec([2j, 2 + 2j])
     detour = PathSpec([2j, 1 + 3j, 2 + 2j])
-    ctrl = IntegrationControl(rel_tol=1e-11)
+    monkeypatch.setattr(oracle, "STEP_REL_TOL", 1e-11)
     for _ in range(5):
         p, _ = random_generic_equation(rng)
-        a = integrate_ivp(p, direct, 1.0, 0.3, ctrl)[-1][1]
-        b = integrate_ivp(p, detour, 1.0, 0.3, ctrl)[-1][1]
+        a = integrate_ivp(p, direct, 1.0, 0.3)[-1][1]
+        b = integrate_ivp(p, detour, 1.0, 0.3)[-1][1]
         assert abs(a - b) <= 1e-8 * max(abs(a), 1.0)
 
 
@@ -239,10 +238,11 @@ def _loop_stage(p, u, z, y, v):
     return u * v, u * (-(2 * p.a * z * q * v + 4 * (p.b + p.c * z) * y) / (q * q))
 
 
-def _loop_integrate_ivp(p, path, y0, dy0, ctrl=IntegrationControl(), log=None):
+def _loop_integrate_ivp(p, path, y0, dy0, log=None):
     """integrate_ivp as the textbook first-same-as-last loop over the
     tableau: the reference that the written-out stages must match bit for
-    bit.  It evaluates stage 1 at every step and reuses nothing; stage 7 is
+    bit.  It reads the same step-control constants of the oracle at each
+    call.  It evaluates stage 1 at every step and reuses nothing; stage 7 is
     evaluated at the new solution y + h*sum(b*k for stages 1-6).  Its sum()
     adds in plain order, as on CPython 3.11; a sum() that compensates
     complex sums would round differently.  Each step appends (its segment,
@@ -263,8 +263,8 @@ def _loop_integrate_ivp(p, path, y0, dy0, ctrl=IntegrationControl(), log=None):
         while s < seg_len:
             shortened = seg_len - s < h
             h = min(h, seg_len - s)
-            if steps >= ctrl.max_steps:
-                raise StepLimitExceeded(f"step budget {ctrl.max_steps} "
+            if steps >= oracle.MAX_STEPS:
+                raise StepLimitExceeded(f"step budget {oracle.MAX_STEPS} "
                                         f"exhausted at z={z0 + s * u}")
             steps += 1
             ky = [0j] * 7
@@ -283,7 +283,7 @@ def _loop_integrate_ivp(p, path, y0, dy0, ctrl=IntegrationControl(), log=None):
             err = 0.0
             for e_part, s_part in ((ey.real, y5.real), (ey.imag, y5.imag),
                                    (ev.real, v5.real), (ev.imag, v5.imag)):
-                sc = ctrl.abs_tol + ctrl.rel_tol * abs(s_part)
+                sc = oracle.STEP_ABS_TOL + oracle.STEP_REL_TOL * abs(s_part)
                 err = max(err, abs(e_part) / sc)
             if log is not None:
                 log.append((seg, err <= 1.0, (ky[0], kv[0]), (ky[6], kv[6]),
@@ -329,18 +329,16 @@ def _count_branches(log):
 #: The benchmark's integrate_path polyline, length ~19.4, in Re z > 0.
 BENCH_PATH = (0.5 + 3j, 4 + 3j, 4 - 3j, 0.5 - 3j, 2.5 + 0.8j, 0.7 + 1.8j)
 
-#: The default control and those of test_integrate_tolerance_ladder: the
-#: generic equations reject steps at each, and y'' = 0 from (1, 0) takes
-#: steps of zero error estimate.
-BIT_IDENTITY_CONTROLS = [IntegrationControl()] + [
-    IntegrationControl(rel_tol=tol, abs_tol=tol * 1e-2)
-    for tol in (1e-5, 1e-7, 1e-9, 1e-11)] + [
-    IntegrationControl(rel_tol=1e-13, abs_tol=1e-14)]
+#: The default (relative, absolute) tolerances and those of
+#: test_integrate_tolerance_ladder: the generic equations reject steps at
+#: each, and y'' = 0 from (1, 0) takes steps of zero error estimate.
+BIT_IDENTITY_TOLERANCES = [(oracle.STEP_REL_TOL, oracle.STEP_ABS_TOL)] + [
+    (tol, tol * 1e-2) for tol in (1e-5, 1e-7, 1e-9, 1e-11)] + [(1e-13, 1e-14)]
 
 
 @pytest.mark.parametrize("waypoints", [
     DEFAULT_PATH, BENCH_PATH, (2j, 1 + 2j, 1 + 2j, 2 + 2j)])
-def test_integrate_matches_loop_form_bit_for_bit(waypoints):
+def test_integrate_matches_loop_form_bit_for_bit(waypoints, monkeypatch):
     rng = np.random.default_rng(36)
     path = PathSpec(waypoints)
     cases = [(random_generic_equation(rng)[0], 1.0, 0.3) for _ in range(20)]
@@ -350,10 +348,11 @@ def test_integrate_matches_loop_form_bit_for_bit(waypoints):
     cases.append((EquationParams(0, 0, 0), -0.0, complex(-0.0, -0.0)))
     reused, taken = Counter(), Counter()
     for p, y0, dy0 in cases:
-        for ctrl in BIT_IDENTITY_CONTROLS:
-            got = integrate_ivp(p, path, y0, dy0, ctrl)
+        for rel_tol, abs_tol in BIT_IDENTITY_TOLERANCES:
+            _set_tolerances(monkeypatch, rel_tol, abs_tol)
+            got = integrate_ivp(p, path, y0, dy0)
             log = []
-            want = _loop_integrate_ivp(p, path, y0, dy0, ctrl, log)
+            want = _loop_integrate_ivp(p, path, y0, dy0, log)
             assert got == want
             assert repr(got) == repr(want)  # signed zeros too
             reused.update(_count_reuses(log))
@@ -402,14 +401,14 @@ def test_integrator_keeps_its_digits_along_the_benchmark_path():
 
 
 @pytest.mark.parametrize("max_steps", [3, 50])
-def test_step_limit_message_matches_loop_form(max_steps):
+def test_step_limit_message_matches_loop_form(max_steps, monkeypatch):
     p = EquationParams(0.3 + 0.1j, 0.2, 0.1 + 0.2j)
     path = PathSpec(BENCH_PATH)
-    ctrl = IntegrationControl(max_steps=max_steps)
+    monkeypatch.setattr(oracle, "MAX_STEPS", max_steps)
     with pytest.raises(StepLimitExceeded) as got:
-        integrate_ivp(p, path, 1.0, 0.3, ctrl)
+        integrate_ivp(p, path, 1.0, 0.3)
     with pytest.raises(StepLimitExceeded) as want:
-        _loop_integrate_ivp(p, path, 1.0, 0.3, ctrl)
+        _loop_integrate_ivp(p, path, 1.0, 0.3)
     assert str(got.value) == str(want.value)
     assert f"step budget {max_steps} exhausted" in str(got.value)
 
@@ -425,7 +424,7 @@ def test_integrate_non_finite_raises():
     assert integrate_ivp(p, PathSpec([0.5, 3.0]), 1e307, 0)[-1][1] == 1e307
 
 
-def test_overflow_takes_the_loop_forms_path():
+def test_overflow_takes_the_loop_forms_path(monkeypatch):
     # integrate_ivp drops the sums' zero terms and lets stage 7 share stage
     # 6's point, which leaves finite values as they are; inf*0 is NaN, so
     # runs that overflow mid-path check that their non-finite values take
@@ -433,15 +432,15 @@ def test_overflow_takes_the_loop_forms_path():
     # not finite, and with a budget one step short of it
     assert _DP_C[5] == _DP_C[6] == 1.0
     rng = np.random.default_rng(39)
-    ctrl = IntegrationControl(max_steps=5000)
     runs = 0
     for i in range(100):
         p = random_generic_equation(rng)[0]
         y0, dy0 = (10 ** rng.uniform(290, 308, 2)
                    * np.exp(2j * np.pi * rng.uniform(size=2))).tolist()
         path = PathSpec(BENCH_PATH if i % 2 else DEFAULT_PATH)
+        monkeypatch.setattr(oracle, "MAX_STEPS", 5000)
         log = []
-        out = _loop_integrate_ivp(p, path, y0, dy0, ctrl, log)
+        out = _loop_integrate_ivp(p, path, y0, dy0, log)
         first = next((k for k, (_, y, v) in enumerate(out)
                       if not (cmath.isfinite(y) and cmath.isfinite(v))), None)
         if first is None:
@@ -449,14 +448,14 @@ def test_overflow_takes_the_loop_forms_path():
         with pytest.raises(NonFiniteSolution) as want:
             _finite_sample(*out[first])
         with pytest.raises(NonFiniteSolution) as got:
-            integrate_ivp(p, path, y0, dy0, ctrl)
+            integrate_ivp(p, path, y0, dy0)
         assert str(got.value) == str(want.value)
-        short = IntegrationControl(
-            max_steps=sum(seg < first for seg, *_ in log) - 1)
+        monkeypatch.setattr(oracle, "MAX_STEPS",
+                            sum(seg < first for seg, *_ in log) - 1)
         with pytest.raises(StepLimitExceeded) as want:
-            _loop_integrate_ivp(p, path, y0, dy0, short)
+            _loop_integrate_ivp(p, path, y0, dy0)
         with pytest.raises(StepLimitExceeded) as got:
-            integrate_ivp(p, path, y0, dy0, short)
+            integrate_ivp(p, path, y0, dy0)
         assert str(got.value) == str(want.value)
         runs += 1
         if runs == 20:
@@ -464,10 +463,10 @@ def test_overflow_takes_the_loop_forms_path():
     assert runs == 20
 
 
-def _pointwise_compare(p, d, c1, c2, path, ctrl=IntegrationControl()):
+def _pointwise_compare(p, d, c1, c2, path):
     """compare_closed_numeric with one eval_solution call per waypoint."""
     start_jet = eval_solution(d, c1, c2, path.waypoints[0])
-    numeric = integrate_ivp(p, path, start_jet.y, start_jet.dy, ctrl)
+    numeric = integrate_ivp(p, path, start_jet.y, start_jet.dy)
     samples, max_abs_err, max_rel_err = [], 0.0, 0.0
     for z, y_num, _ in numeric:
         y_closed = eval_solution(d, c1, c2, z).y

@@ -1,4 +1,4 @@
-"""Value semantics of the six value classes of params and oracle: the repr
+"""Value semantics of the five value classes of params and oracle: the repr
 of a sample value byte for byte, hashing, immutability and the errors of
 their constructors.  A HypParams repr is part of error messages."""
 
@@ -14,7 +14,7 @@ from papperitz.errors import (
     PathTooCloseToSingularity,
 )
 from papperitz.hypergeom import gauss_2f1, series_jets
-from papperitz.oracle import IntegrationControl, PathSpec
+from papperitz.oracle import PathSpec
 from papperitz.params import EquationParams, HypParams, Jet2, derive_params
 
 P = EquationParams(0.3 + 0.1j, 0.2, 0.1 + 0.2j)
@@ -33,8 +33,6 @@ SAMPLES = [
      "degeneracy=<DegeneracyClass.GENERIC: 'Generic'>)"),
     (HypParams(-2, 0.5 + 1j, -3.0), "HypParams(alpha=-2, beta=(0.5+1j), gamma=-3.0)"),
     (PathSpec([2j, 1 + 2j, 2]), "PathSpec(waypoints=(2j, (1+2j), (2+0j)))"),
-    (IntegrationControl(rel_tol=1e-9, max_steps=7),
-     "IntegrationControl(rel_tol=1e-09, abs_tol=1e-12, max_steps=7)"),
 ]
 IDS = [type(value).__name__ for value, _ in SAMPLES]
 FIELDS = {
@@ -44,7 +42,6 @@ FIELDS = {
                       "gamma", "degeneracy"),
     "HypParams": ("alpha", "beta", "gamma"),
     "PathSpec": ("waypoints",),
-    "IntegrationControl": ("rel_tol", "abs_tol", "max_steps"),
 }
 
 
@@ -89,15 +86,10 @@ def test_constructor_errors():
         PathSpec([0, 1e308 + 1e308j, -1e308 - 1e308j])
     assert str(exc.value) == ("waypoint (1e+308+1e+308j) lies beyond |z| = 1e+77, "
                               "where the equation's coefficients overflow")
-    with pytest.raises(ValueError, match="^tolerances must be positive$"):
-        IntegrationControl(abs_tol=0)
-    with pytest.raises(ValueError, match="^max_steps must be at least 1$"):
-        IntegrationControl(max_steps=0)
 
 
 def test_value_classes_take_keywords_and_defaults():
     assert EquationParams(c=3, b=2, a=1) == EquationParams(1, 2, 3)
-    assert IntegrationControl() == IntegrationControl(1e-10, 1e-12, 10 ** 6)
     assert PathSpec(waypoints=[0, 1]).waypoints == (0j, 1 + 0j)
     assert HypParams(-2, 1, 0.5).truncation_degree() == 2
     assert HypParams(0.5, 1, 0.5).truncation_degree() is None
